@@ -25,7 +25,6 @@ from repro import (
     gale_shapley,
     instability,
     parallel_gale_shapley,
-    truncated_gale_shapley,
 )
 from repro.analysis.tables import format_table
 from repro.baselines.gale_shapley import ROUNDS_PER_GS_ITERATION
@@ -45,7 +44,7 @@ def main() -> None:
 
     run = asm(prefs, eps)
     budget_iterations = max(1, run.rounds_active // ROUNDS_PER_GS_ITERATION)
-    tgs = truncated_gale_shapley(prefs, budget_iterations)
+    tgs = parallel_gale_shapley(prefs, max_iterations=budget_iterations)
     full = parallel_gale_shapley(prefs)
     exact = gale_shapley(prefs)
 

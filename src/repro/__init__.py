@@ -56,7 +56,6 @@ from repro.baselines import (
     gale_shapley,
     parallel_gale_shapley,
     random_greedy_matching,
-    truncated_gale_shapley,
 )
 from repro.workloads import (
     GENERATORS,
@@ -126,7 +125,6 @@ __all__ = [
     "gale_shapley",
     "parallel_gale_shapley",
     "random_greedy_matching",
-    "truncated_gale_shapley",
     # workloads
     "GENERATORS",
     "adversarial_gale_shapley",

@@ -49,7 +49,6 @@ from repro.baselines.gale_shapley import (
     parallel_gale_shapley,
 )
 from repro.baselines.random_greedy import random_greedy_matching
-from repro.baselines.truncated_gs import truncated_gale_shapley
 from repro.congest.protocols.asm_protocol import run_congest_asm
 from repro.core.almost_regular import almost_regular_asm
 from repro.core.asm import ASMEngine, asm
@@ -542,7 +541,7 @@ def _trial_e5(spec: TrialSpec) -> Dict[str, Any]:
     prefs = WORKLOAD_FACTORIES[spec.workload](spec.n, spec.seed)
     run = asm(prefs, spec.eps)
     budget = max(1, run.rounds_active // ROUNDS_PER_GS_ITERATION)
-    tgs = truncated_gale_shapley(prefs, budget)
+    tgs = parallel_gale_shapley(prefs, max_iterations=budget)
     full = parallel_gale_shapley(prefs)
     greedy = random_greedy_matching(prefs, spec.param("greedy_seed"))
     return {

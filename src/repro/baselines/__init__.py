@@ -4,10 +4,7 @@ from repro.baselines.gale_shapley import (
     GSResult,
     gale_shapley,
     parallel_gale_shapley,
-)
-from repro.baselines.truncated_gs import (
     suggested_iterations,
-    truncated_gale_shapley,
 )
 from repro.baselines.random_greedy import (
     RandomGreedyResult,
@@ -25,7 +22,6 @@ __all__ = [
     "gale_shapley",
     "parallel_gale_shapley",
     "suggested_iterations",
-    "truncated_gale_shapley",
     "RandomGreedyResult",
     "random_greedy_matching",
 ]

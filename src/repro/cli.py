@@ -48,8 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.analysis.stability import stability_report
 from repro.analysis.tables import format_table
-from repro.baselines.gale_shapley import gale_shapley
-from repro.baselines.truncated_gs import truncated_gale_shapley
+from repro.baselines.gale_shapley import gale_shapley, parallel_gale_shapley
 from repro.core.almost_regular import almost_regular_asm
 from repro.core.asm import asm
 from repro.core.rand_asm import rand_asm
@@ -220,7 +219,7 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--transport",
-        choices=["sync", "async", "sharded"],
+        choices=["sync", "async"],
         default="sync",
         help="delivery backend (default sync)",
     )
@@ -229,7 +228,7 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
         default="zero",
         metavar="SPEC",
         help="per-link latency model: zero, fixed:K, uniform:LO-HI, "
-        "perlink:LO-HI, geometric:P:CAP (async/sharded only; "
+        "perlink:LO-HI, geometric:P:CAP (async only; "
         "default zero)",
     )
     group.add_argument(
@@ -237,13 +236,6 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="root seed for latency draws (default 0)",
-    )
-    group.add_argument(
-        "--transport-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for sharded latency draws (default 2)",
     )
 
 
@@ -253,7 +245,7 @@ def _build_transport(args: argparse.Namespace):
     A fresh instance per call: transports bind to exactly one
     simulator run.
     """
-    from repro.congest.transport import AsyncEventTransport, ShardedTransport
+    from repro.congest.transport import AsyncEventTransport
     from repro.workloads.latency import parse_latency
 
     latency = parse_latency(args.latency_dist)
@@ -261,15 +253,10 @@ def _build_transport(args: argparse.Namespace):
         if latency.bound() > 0:
             raise InvalidParameterError(
                 f"--latency-dist {args.latency_dist!r} needs "
-                f"--transport async or sharded (sync delivery has no "
-                f"latency)"
+                f"--transport async (sync delivery has no latency)"
             )
         return None
-    if args.transport == "async":
-        return AsyncEventTransport(latency, link_seed=args.link_seed)
-    return ShardedTransport(
-        latency, link_seed=args.link_seed, workers=args.transport_workers
-    )
+    return AsyncEventTransport(latency, link_seed=args.link_seed)
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
@@ -380,7 +367,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(format_table(rows, title=f"{args.workload} n={args.n}"))
         return 0
     elif args.algorithm == "truncated-gs":
-        gs = truncated_gale_shapley(prefs, args.gs_iterations)
+        gs = parallel_gale_shapley(prefs, max_iterations=args.gs_iterations)
         rep = stability_report(prefs, gs.matching)
         if telemetry is not None:
             telemetry.metrics.inc("gs.proposals", gs.proposals)
@@ -1139,7 +1126,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"wrote {out}", file=sys.stderr)
     if vec_broken:
         print(
-            "FAIL: optimized and vec engine results diverged "
+            "FAIL: reference and vec engine results diverged "
             "(bit-identity contract broken)",
             file=sys.stderr,
         )

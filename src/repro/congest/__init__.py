@@ -21,7 +21,6 @@ from repro.congest.recorder import MessageEvent, MessageRecorder
 from repro.congest.simulator import SimulationStats, Simulator
 from repro.congest.transport import (
     AsyncEventTransport,
-    ShardedTransport,
     SyncTransport,
     Transport,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "MessageEvent",
     "MessageRecorder",
     "MessageSchema",
-    "ShardedTransport",
     "SimulationStats",
     "Simulator",
     "SyncTransport",

@@ -419,10 +419,6 @@ class Simulator:
             self.stats.crashed_nodes = len(self.crashed)
             return self.stats
         finally:
-            # Release transport resources (worker pools); idempotent,
-            # and in-flight messages stay countable via
-            # ``transport.in_flight()``.
-            self.transport.close()
             if sid is not None:
                 tracer.close_span(
                     sid,

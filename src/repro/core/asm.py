@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
@@ -273,16 +273,13 @@ class ASMEngine:
         ``asm.phase.maximal_matching`` histograms).  Defaults to the
         shared no-op bundle, which costs (nearly) nothing.
     optimized:
-        Three-way engine selector; all paths produce bit-identical
-        :class:`ASMResult` bundles:
+        Engine selector.  There are two engines, and both produce
+        bit-identical :class:`ASMResult` bundles:
 
-        * ``True`` (default) — the allocation-free fast ProposalRound
-          path: per-woman suitor buffers reused across rounds, active
-          sets as pre-sorted insertion-ordered dicts, one quantile-table
-          probe per suitor.
-        * ``False`` — the seed reference path, which rebuilds its dicts
-          per round exactly as the seed implementation did.
-        * ``"vec"`` — the numpy struct-of-arrays backend
+        * ``False`` — the pure-Python reference engine.  It is the
+          equivalence oracle, and the only engine for RandASM,
+          AlmostRegularASM and installs without numpy.
+        * ``"vec"`` — the numpy struct-of-arrays engine
           (:mod:`repro.vec`): the profile is compiled to flat CSR /
           quantile arrays and every ProposalRound step runs as batched
           array ops over all active men at once.  Requires numpy
@@ -290,15 +287,18 @@ class ASMEngine:
           :class:`~repro.errors.VecUnavailableError` without it),
           supports only the deterministic maximal-matching oracle
           (its tie-breaking is compiled in) and not
-          ``remove_unmatched_violators``.  Observers receive the
-          engine as usual, but its mutable state is array-form
-          (``man_partner`` is an int array with ``-1`` = unmatched,
-          not a list of ``Optional[int]``).
+          ``remove_unmatched_violators``.
+        * ``True`` (default) — vec when this call can run on it
+          (numpy is importable, ``mm_oracle`` is unset and
+          ``remove_unmatched_violators`` is false), else the reference
+          engine.
 
-        The equivalence suites run the paths over the workload grid and
-        assert identical result bundles
-        (``tests/test_perf_equivalence.py``,
-        ``tests/test_vec_equivalence.py``).
+        Observers receive the engine on either path; its mutable state
+        differs in form (on vec, ``man_partner`` is an int array with
+        ``-1`` = unmatched), so read partners through
+        :meth:`man_partners`.  The equivalence suites run both engines
+        over the workload grid and assert identical result bundles
+        (``tests/test_vec_equivalence.py``).
     """
 
     def __init__(
@@ -335,7 +335,6 @@ class ASMEngine:
         self.check_invariants = check_invariants
         self.observer = observer
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.optimized = optimized
         # Schedule overrides (used by ablations and the CONGEST
         # cross-validation, which needs small fixed schedules).
         self._inner_iterations_override = inner_iterations
@@ -348,14 +347,26 @@ class ASMEngine:
                 "optimized must be True, False, or 'vec', "
                 f"got {optimized!r}"
             )
+        if optimized is True:
+            from repro import vec
+
+            optimized = (
+                "vec"
+                if vec.HAS_NUMPY
+                and mm_oracle is None
+                and not remove_unmatched_violators
+                else False
+            )
+        #: The engine this run uses: ``"vec"`` or ``False`` (reference).
+        self.optimized = optimized
         if optimized == "vec":
             # Struct-of-arrays backend: compile once (cached on the
             # profile), skip the per-player Python state entirely.
             if remove_unmatched_violators:
                 raise InvalidParameterError(
                     "optimized='vec' does not support "
-                    "remove_unmatched_violators; use the pure-Python "
-                    "paths for the almost-regular variant"
+                    "remove_unmatched_violators; use the reference "
+                    "engine for the almost-regular variant"
                 )
             if self.mm_oracle is not deterministic_maximal_matching:
                 raise InvalidParameterError(
@@ -392,18 +403,12 @@ class ASMEngine:
             self.man_partner: List[Optional[int]] = [None] * self.n_men
             self.woman_partner: List[Optional[int]] = [None] * self.n_women
             # Active proposal sets A (men only), kept as insertion-ordered
-            # dicts built ascending — deletions preserve order, so both
-            # engine paths iterate A in the canonical sorted order without
-            # a per-round sort (DET001 stays satisfied structurally).
+            # dicts built ascending, so A replays in the canonical sorted
+            # order however it shrinks (DET001 stays satisfied
+            # structurally).
             self.active: List[Dict[int, None]] = [{} for _ in range(self.n_men)]
             # Almost-regular mode: men removed from play.
             self.removed: List[bool] = [False] * self.n_men
-            # Fast-path buffers, reused across every ProposalRound of the
-            # run: per-woman suitor lists plus the list of women touched in
-            # the current round, and the men whose A might be nonempty.
-            self._suitor_buf: List[List[int]] = [[] for _ in range(self.n_women)]
-            self._touched_women: List[int] = []
-            self._active_men: List[int] = []
 
         self.counter = RoundCounter()
         self.messages = MessageStats()
@@ -419,6 +424,14 @@ class ASMEngine:
     # ------------------------------------------------------------------
     # Player classification (Section 4)
     # ------------------------------------------------------------------
+
+    def man_partners(self) -> List[Optional[int]]:
+        """The man → partner table, ``None`` for unmatched, on both engines."""
+        if self._vec is not None:
+            return [
+                None if w < 0 else w for w in self._vec.man_partner.tolist()
+            ]
+        return list(self.man_partner)
 
     def man_is_good(self, m: int) -> bool:
         """Good = matched, or rejected by every acceptable partner."""
@@ -476,14 +489,11 @@ class ASMEngine:
         (since active sets only shrink between QuantileMatch calls) no
         state can change — callers charge the scheduled rounds and skip.
 
-        Dispatches to the vectorized, allocation-free fast, or seed
-        reference path per the ``optimized`` flag; all produce
-        bit-identical state transitions and stats.
+        Dispatches to the vec or reference engine per ``optimized``;
+        both produce bit-identical state transitions and stats.
         """
         if self._vec is not None:
             return self._proposal_round_vec()
-        if self.optimized:
-            return self._proposal_round_fast()
         return self._proposal_round_reference()
 
     def _proposal_round_vec(self) -> Optional[ProposalRoundStats]:
@@ -491,9 +501,9 @@ class ASMEngine:
 
         The five steps run as whole-array operations in
         :class:`repro.vec.engine.VecState`; this wrapper owns what the
-        other paths own — phase timers, message/round accounting, the
-        profiler counter, and the observer hook — so all three paths
-        share one implementation of the instrumentation contract.
+        reference path owns — phase timers, message/round accounting, the
+        profiler counter, and the observer hook — so both engines share
+        one implementation of the instrumentation contract.
         """
         telemetry = self.telemetry
         vec = self._vec
@@ -526,7 +536,7 @@ class ASMEngine:
         )
 
     def _mm_phase(self, g0: Graph) -> Tuple[MMResult, int, int]:
-        """Step 3 (shared by both paths): maximal matching on ``G₀``.
+        """Step 3 of the reference path: maximal matching on ``G₀``.
 
         Returns ``(mm_result, men_removed, mm_work)`` where ``mm_work``
         is the Remark-4 proxy for the subroutine's per-processor work.
@@ -599,7 +609,7 @@ class ASMEngine:
         """The seed implementation: per-round dict rebuilds throughout.
 
         Kept verbatim (modulo the active-set container change) as the
-        equivalence oracle for the fast path.
+        equivalence oracle for the vec engine.
         """
         telemetry = self.telemetry
         # Step 1: men propose to every woman in A.
@@ -705,155 +715,6 @@ class ASMEngine:
             max_work,
         )
 
-    def _proposal_round_fast(self) -> Optional[ProposalRoundStats]:
-        """Allocation-free ProposalRound (same transitions as reference).
-
-        Differences are purely mechanical:
-
-        * suitor lists live in per-woman buffers reused across every
-          round of the run (cleared lazily at round start);
-        * only men in ``_active_men`` (maintained by QuantileMatch
-          activation, compacted as men drain) are scanned, not all men;
-        * active sets are pre-sorted insertion-ordered dicts, so no
-          per-round ``sorted()``;
-        * each woman's live quantile table is bound once and probed
-          once per suitor (no ``contains`` + ``quantile_of`` pairs);
-        * Step 4 rejects via one pre-sorted list per newly matched
-          woman instead of frozenset algebra.
-
-        Orders of all state mutations match the reference path exactly,
-        which is what makes the two paths bit-identical.
-        """
-        telemetry = self.telemetry
-        active = self.active
-        removed = self.removed
-        suitor_buf = self._suitor_buf
-        touched = self._touched_women
-        # Step 1: men propose to every woman in A.
-        with telemetry.timer("asm.phase.propose"):
-            for w in touched:  # lazy clear of last round's buffers
-                suitor_buf[w].clear()
-            touched.clear()
-            n_proposals = 0
-            max_work = 0  # Remark 4: max per-processor work this round
-            still_active: List[int] = []
-            for m in self._active_men:
-                a = active[m]
-                if removed[m] or not a:
-                    continue
-                still_active.append(m)
-                for w in a:  # insertion-ordered ascending
-                    buf = suitor_buf[w]
-                    if not buf:
-                        touched.append(w)
-                    buf.append(m)
-                n_proposals += len(a)
-                if len(a) > max_work:
-                    max_work = len(a)
-            self._active_men = still_active
-        if not touched:
-            return None
-
-        # Step 2: each woman accepts her best proposing quantile.
-        with telemetry.timer("asm.phase.accept_reject"):
-            g0 = Graph()
-            n_accepts = 0
-            women_q = self.women_q
-            for w in touched:
-                suitors = suitor_buf[w]
-                if len(suitors) > max_work:
-                    max_work = len(suitors)
-                present = women_q[w].present_map()
-                if self.check_invariants:
-                    for m in suitors:
-                        if m not in present:
-                            raise SimulationError(
-                                f"man {m} proposed to woman {w} after "
-                                f"removal from her list"
-                            )
-                best: Optional[int] = None
-                for m in suitors:
-                    q = present.get(m)
-                    if q is not None and (best is None or q < best):
-                        best = q
-                if best is None:
-                    raise SimulationError(
-                        f"woman {w} received proposals only from removed men"
-                    )
-                wn = woman_node(w)
-                for m in suitors:
-                    if present.get(m) == best:
-                        g0.add_edge(man_node(m), wn)
-                        n_accepts += 1
-
-        with telemetry.timer("asm.phase.maximal_matching"):
-            # Step 3: maximal matching on the accepted-proposal graph G0.
-            mm_result, men_removed, mm_work = self._mm_phase(g0)
-            if mm_work > max_work:
-                max_work = mm_work
-
-        with telemetry.timer("asm.phase.accept_reject"):
-            # Step 4: newly matched women reject all weakly-worse suitors.
-            rejections: Dict[int, List[int]] = {}
-            n_rejects = 0
-            matched_in_m0 = 0
-            man_partner = self.man_partner
-            woman_partner = self.woman_partner
-            for u, v in mm_result.pairs():
-                m0, w = (
-                    (node_index(u), node_index(v))
-                    if is_man_node(u)
-                    else (node_index(v), node_index(u))
-                )
-                matched_in_m0 += 1
-                wq = women_q[w]
-                q0 = wq.quantile_of(m0)
-                rejected = wq.members_at_least_sorted(q0)  # includes m0
-                old = woman_partner[w]
-                if self.check_invariants and old is not None and (
-                    old == m0
-                    or not wq.contains(old)
-                    or wq.quantile_of(old) < q0
-                ):
-                    raise SimulationError(
-                        f"woman {w} traded up to man {m0} but did not "
-                        f"reject previous partner {old}"
-                    )
-                rejected_count = 0
-                for m in rejected:  # ascending, matching the reference
-                    if m == m0:
-                        continue
-                    wq.remove(m)
-                    rejections.setdefault(m, []).append(w)
-                    rejected_count += 1
-                n_rejects += rejected_count
-                if rejected_count > max_work:
-                    max_work = rejected_count
-                woman_partner[w] = m0
-                man_partner[m0] = w
-                active[m0] = {}
-
-            # Step 5: men process rejections.
-            for m, rejecting in rejections.items():
-                mq = self.men_q[m]
-                a = active[m]
-                for w in rejecting:
-                    mq.remove(w)
-                    a.pop(w, None)
-                    if man_partner[m] == w:
-                        man_partner[m] = None
-
-        return self._finalize_round(
-            n_proposals,
-            n_accepts,
-            n_rejects,
-            g0,
-            mm_result,
-            matched_in_m0,
-            men_removed,
-            max_work,
-        )
-
     def _charge_executed(self, mm_result: MMResult) -> None:
         """Round accounting for one executed ProposalRound."""
         self.proposal_rounds_executed += 1
@@ -941,21 +802,16 @@ class ASMEngine:
         return any_communication
 
     def _quantile_match_impl(self, participating: Sequence[int]) -> bool:
-        active_men: List[int] = []
         for m in participating:
             if self.removed[m] or self.man_partner[m] is not None:
                 continue
             best = self.men_q[m].best_nonempty_quantile()
             if best is not None:
-                # Ascending insertion order: deletions preserve it, so
-                # the fast path iterates A without a per-round sort.
                 self.active[m] = dict.fromkeys(
                     self.men_q[m].members_of_sorted(best)
                 )
-                active_men.append(m)
             else:
                 self.active[m] = {}
-        self._active_men = active_men
         self.quantile_match_calls_executed += 1
         self.quantile_match_calls_scheduled += 1
         any_communication = False

@@ -138,12 +138,12 @@ class DynamicMatchingEngine:
         bench uses to replay a stream and time full re-runs against.
     solver_optimized:
         Forwarded as ``optimized=`` to every full ASM solve (warm
-        start and SLO fallbacks): ``True``/``False`` select the
-        pure-Python fast/reference paths, ``"vec"`` the numpy
-        struct-of-arrays engine — at n ≥ 10⁵ the vec solver keeps
-        fallback latency in seconds instead of minutes.  All three
-        produce bit-identical matchings, so the choice never changes
-        the trajectory.
+        start and SLO fallbacks): ``False`` selects the pure-Python
+        reference engine, ``"vec"`` the numpy struct-of-arrays engine
+        — at n ≥ 10⁵ the vec solver keeps fallback latency in seconds
+        instead of minutes — and ``True`` vec when numpy is installed.
+        Both engines produce bit-identical matchings, so the choice
+        never changes the trajectory.
 
     Examples
     --------

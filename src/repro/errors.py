@@ -53,8 +53,9 @@ class VecUnavailableError(ReproError):
 
     The struct-of-arrays backend (:mod:`repro.vec`) needs numpy, which
     is an optional extra (``pip install repro[fast]``).  Stdlib-only
-    installs keep the pure-Python ``optimized=True/False`` paths; asking
-    for ``optimized="vec"`` raises this error so callers can fall back
+    installs run the pure-Python reference engine (``optimized=False``,
+    and what the default ``True`` picks without numpy); asking for
+    ``optimized="vec"`` raises this error so callers can fall back
     explicitly instead of silently running a different engine.
     """
 

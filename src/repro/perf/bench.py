@@ -137,7 +137,7 @@ DYNAMIC_VS_FULL_SCALES: Dict[str, Dict[str, Any]] = {
 }
 
 #: The vec-engine matrix (``run_vec_suite``): the ``dual`` case runs
-#: the pure-Python optimized engine and the numpy struct-of-arrays
+#: the pure-Python reference engine and the numpy struct-of-arrays
 #: engine on the same workload, asserts their results are identical,
 #: and reports the speedup; ``vec``-mode cases run the numpy engine
 #: alone at scales the Python engines cannot reach in bench time.
@@ -174,16 +174,18 @@ def _run_case(case: Dict[str, Any], scale: str, repeats: int) -> Dict[str, Any]:
     prefs = GENERATORS[case["generator"]](**params)
     eps = case["eps"]
 
+    # The matrix times the pure-Python reference engine; the vec engine
+    # has its own matrix (run_vec_suite).
     wall = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = asm(prefs, eps)
+        result = asm(prefs, eps, optimized=False)
         elapsed = time.perf_counter() - t0
         if wall is None or elapsed < wall:
             wall = elapsed
 
     tracemalloc.start()
-    asm(prefs, eps)
+    asm(prefs, eps, optimized=False)
     _, alloc_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -293,7 +295,7 @@ def run_dynamic_vs_full(scale: str = "full") -> Dict[str, Any]:
             f"known: {sorted(DYNAMIC_VS_FULL_SCALES)}"
         )
     cfg = DYNAMIC_VS_FULL_SCALES[scale]
-    solver = cfg.get("solver", True)
+    solver = cfg.get("solver", False)
     prefs = GENERATORS["bounded"](cfg["n"], cfg["d"], cfg["seed"])
     deltas = churn_stream(
         prefs, ChurnConfig(steps=cfg["steps"]), cfg["seed"]
@@ -377,8 +379,10 @@ def run_vec_suite(scale: str = "full", repeats: int = 3) -> Dict[str, Any]:
     to struct-of-arrays form; the reported ``wall_seconds`` is the best
     of ``repeats`` warm runs (the compilation is cached on the profile,
     mirroring how a service amortizes it across solves).  ``dual``-mode
-    cases also run the pure-Python optimized engine on the same
-    workload, hard-assert result identity, and report the speedup.
+    cases also run the pure-Python reference engine
+    (``optimized=False``) on the same workload, hard-assert result
+    identity, and report the speedup.  The reference arm keeps the
+    ``optimized_wall_seconds`` report key so older reports compare.
     """
     from repro.vec import HAS_NUMPY, VecUnavailableError
 
@@ -436,17 +440,17 @@ def run_vec_suite(scale: str = "full", repeats: int = 3) -> Dict[str, Any]:
         }
 
         if case["mode"] == "dual":
-            opt_wall = None
+            ref_wall = None
             for _ in range(case_repeats):
                 t0 = time.perf_counter()
-                opt_result = asm(prefs, eps, optimized=True)
+                ref_result = asm(prefs, eps, optimized=False)
                 elapsed = time.perf_counter() - t0
-                if opt_wall is None or elapsed < opt_wall:
-                    opt_wall = elapsed
-            entry["optimized_wall_seconds"] = opt_wall
-            entry["speedup"] = (opt_wall / wall) if wall else 0.0
+                if ref_wall is None or elapsed < ref_wall:
+                    ref_wall = elapsed
+            entry["optimized_wall_seconds"] = ref_wall
+            entry["speedup"] = (ref_wall / wall) if wall else 0.0
             entry["results_identical"] = (
-                opt_result.to_dict() == result.to_dict()
+                ref_result.to_dict() == result.to_dict()
             )
         cases.append(entry)
 
@@ -700,7 +704,7 @@ def _compare_vec(
     ``vec.available == False`` (or predating the suite) is a valid
     environment difference, not a regression — gating applies only
     when both reports actually ran the suite.  Result identity between
-    the optimized and vec engines, however, is checked whenever the
+    the reference and vec engines, however, is checked whenever the
     *current* report ran a dual case: a divergence is a correctness
     bug regardless of what the baseline saw.
     """
@@ -710,7 +714,7 @@ def _compare_vec(
     for case in vec_cur.get("cases", []):
         if case.get("mode") == "dual" and not case.get("results_identical"):
             violations.append(
-                f"vec/{case['name']}: optimized and vec engine results "
+                f"vec/{case['name']}: reference and vec engine results "
                 "diverged (bit-identity contract broken)"
             )
     if not (vec_cur.get("available") and vec_base.get("available")):

@@ -399,5 +399,5 @@ class InstabilityTraceObserver(ASMObserver):
     def on_proposal_round_end(
         self, engine: ASMEngine, stats: ProposalRoundStats
     ) -> None:
-        self.index.update_from_partner_lists(engine.man_partner)
+        self.index.update_from_partner_lists(engine.man_partners())
         self.counts.append(len(self.index))

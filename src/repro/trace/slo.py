@@ -122,7 +122,7 @@ class SLOMonitor(ASMObserver):
         self, engine: ASMEngine, stats: ProposalRoundStats
     ) -> None:
         self._rounds += 1
-        self.index.update_from_partner_lists(engine.man_partner)
+        self.index.update_from_partner_lists(engine.man_partners())
         blocking = len(self.index)
         eps = blocking / self._num_edges if self._num_edges else 0.0
         self.trajectory.append((self._rounds, eps))

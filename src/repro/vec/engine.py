@@ -34,7 +34,7 @@ path over the full workload grid.
 This module is internal to :class:`~repro.core.asm.ASMEngine`'s
 ``optimized="vec"`` mode; it deliberately knows nothing about
 telemetry, observers, or round accounting — the engine owns those so
-all three paths share one implementation of the contract.
+both engines share one implementation of the contract.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class VecState:
         """Coerce a participating-men spec to a boolean mask over men.
 
         Accepts a boolean mask (returned as-is) or any integer sequence
-        (the pure-Python engines' native form).
+        (the reference engine's native form).
         """
         if isinstance(participating, np.ndarray) and participating.dtype == bool:
             return participating

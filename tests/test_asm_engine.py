@@ -110,7 +110,7 @@ class TestTheorem3:
 class TestGoodBadClassification:
     def test_good_iff_matched_or_exhausted(self):
         prefs = gnp_incomplete(16, 0.3, seed=5)
-        engine = ASMEngine(prefs, 0.4)
+        engine = ASMEngine(prefs, 0.4, optimized=False)  # reads men_q
         run = engine.run()
         for m in range(16):
             matched = run.matching.partner_of_man(m) is not None
@@ -160,7 +160,7 @@ class TestMonotonicity:
     def test_women_only_trade_up(self, seed):
         prefs = gnp_incomplete(16, 0.5, seed=seed)
         monitor = self._Monitor()
-        asm(prefs, 0.3, observer=monitor)
+        asm(prefs, 0.3, observer=monitor, optimized=False)
         assert monitor.violations == []
 
 
@@ -172,7 +172,9 @@ class TestLemma2:
 
     def test_single_quantile_match_empties_active_sets(self):
         prefs = complete_uniform(12, seed=1)
-        engine = ASMEngine(prefs, 0.5, check_invariants=True)
+        engine = ASMEngine(
+            prefs, 0.5, check_invariants=True, optimized=False
+        )
         engine.quantile_match(list(range(12)))
         assert all(not a for a in engine.active)
 
@@ -180,7 +182,7 @@ class TestLemma2:
         """Lemma 2's conclusion: each man who activated a quantile is
         matched within it or was rejected by all of it."""
         prefs = complete_uniform(12, seed=2)
-        engine = ASMEngine(prefs, 0.5)
+        engine = ASMEngine(prefs, 0.5, optimized=False)  # reads men_q
         activated = {
             m: set(
                 engine.men_q[m].members_of(

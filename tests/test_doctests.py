@@ -15,7 +15,6 @@ MODULE_NAMES = [
     "repro.analysis.tables",
     "repro.baselines.gale_shapley",
     "repro.baselines.random_greedy",
-    "repro.baselines.truncated_gs",
     "repro.congest.message",
     "repro.core.almost_regular",
     "repro.core.asm",

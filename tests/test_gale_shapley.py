@@ -12,10 +12,7 @@ from repro.baselines.gale_shapley import (
     ROUNDS_PER_GS_ITERATION,
     gale_shapley,
     parallel_gale_shapley,
-)
-from repro.baselines.truncated_gs import (
     suggested_iterations,
-    truncated_gale_shapley,
 )
 from repro.core.preferences import PreferenceProfile
 from repro.errors import InvalidParameterError
@@ -114,12 +111,12 @@ class TestParallel:
 
 class TestTruncated:
     def test_zero_budget_empty_matching(self, small_complete):
-        result = truncated_gale_shapley(small_complete, 0)
+        result = parallel_gale_shapley(small_complete, max_iterations=0)
         assert len(result.matching) == 0
         assert not result.completed
 
     def test_large_budget_completes(self, small_complete):
-        result = truncated_gale_shapley(small_complete, 10_000)
+        result = parallel_gale_shapley(small_complete, max_iterations=10_000)
         assert result.completed
         assert is_stable(small_complete, result.matching)
 
@@ -127,7 +124,7 @@ class TestTruncated:
         prefs = complete_uniform(20, seed=3)
         counts = [
             count_blocking_pairs(
-                prefs, truncated_gale_shapley(prefs, t).matching
+                prefs, parallel_gale_shapley(prefs, max_iterations=t).matching
             )
             for t in (0, 2, 8, 10_000)
         ]
@@ -136,7 +133,7 @@ class TestTruncated:
 
     def test_negative_budget_rejected(self, small_complete):
         with pytest.raises(InvalidParameterError):
-            truncated_gale_shapley(small_complete, -1)
+            parallel_gale_shapley(small_complete, max_iterations=-1)
 
     def test_suggested_iterations_shape(self):
         assert suggested_iterations(4, 0.5) == 32
@@ -153,7 +150,7 @@ class TestTruncated:
         budget = suggested_iterations(d, eps)
         for n in (30, 60):
             prefs = bounded_degree(n, d, seed=1)
-            result = truncated_gale_shapley(prefs, budget)
+            result = parallel_gale_shapley(prefs, max_iterations=budget)
             bp = count_blocking_pairs(prefs, result.matching)
             assert bp <= eps * prefs.num_edges
 

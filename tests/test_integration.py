@@ -11,9 +11,8 @@ from repro.analysis.stability import (
     is_stable,
     stability_report,
 )
-from repro.baselines.gale_shapley import gale_shapley
+from repro.baselines.gale_shapley import gale_shapley, parallel_gale_shapley
 from repro.baselines.random_greedy import random_greedy_matching
-from repro.baselines.truncated_gs import truncated_gale_shapley
 from repro.core.almost_regular import almost_regular_asm
 from repro.core.asm import asm
 from repro.core.matching import Matching
@@ -96,10 +95,10 @@ class TestQualityOrdering:
     def test_truncated_gs_improves_with_budget(self):
         prefs = master_list(24, 0.1, seed=0)
         early = count_blocking_pairs(
-            prefs, truncated_gale_shapley(prefs, 1).matching
+            prefs, parallel_gale_shapley(prefs, max_iterations=1).matching
         )
         late = count_blocking_pairs(
-            prefs, truncated_gale_shapley(prefs, 200).matching
+            prefs, parallel_gale_shapley(prefs, max_iterations=200).matching
         )
         assert late <= early
 

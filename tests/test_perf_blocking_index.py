@@ -173,7 +173,7 @@ class TestTrajectoryHelpers:
             def on_proposal_round_end(self, engine, stats):
                 matching = Matching(
                     (m, w)
-                    for m, w in enumerate(engine.man_partner)
+                    for m, w in enumerate(engine.man_partners())
                     if w is not None
                 )
                 self.counts.append(count_blocking_pairs(prefs, matching))

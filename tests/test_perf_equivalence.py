@@ -1,12 +1,13 @@
-"""Seeded equivalence: the optimized engine path is bit-identical.
+"""Seeded equivalence: the default engine choice is bit-identical.
 
-The ASM engine keeps two ProposalRound implementations — the seed
-reference (``optimized=False``) and the allocation-free fast path
-(``optimized=True``, the default).  These tests assert the *entire*
-:class:`~repro.core.asm.ASMResult` (matching, good/bad/removed sets,
-round counters, message stats, per-iteration stats) is identical
-across the workload generator grid, under invariant checking, and
-under the almost-regular removal mode.
+``optimized=True`` (the default) runs the vec engine when the call can
+run on it and the reference engine (``optimized=False``) otherwise.
+These tests assert the *entire* :class:`~repro.core.asm.ASMResult`
+(matching, good/bad/removed sets, round counters, message stats,
+per-iteration stats) of the default choice is identical to the
+reference across the workload generator grid, under invariant
+checking, and under the almost-regular removal mode (where the default
+falls back to the reference engine instead of raising).
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ GRID = [
 
 
 def _both(prefs, eps, **kwargs):
-    fast = asm(prefs, eps, optimized=True, **kwargs)
+    default = asm(prefs, eps, optimized=True, **kwargs)
     reference = asm(prefs, eps, optimized=False, **kwargs)
-    return fast, reference
+    return default, reference
 
 
 class TestEngineEquivalence:
@@ -49,18 +50,18 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
     def test_identical_results_across_grid(self, name, kwargs, eps):
         prefs = GENERATORS[name](**kwargs)
-        fast, reference = _both(prefs, eps)
-        assert fast == reference
+        default, reference = _both(prefs, eps)
+        assert default == reference
 
     def test_identical_with_invariant_checking(self):
         prefs = complete_uniform(16, seed=11)
-        fast, reference = _both(prefs, 0.4, check_invariants=True)
-        assert fast == reference
+        default, reference = _both(prefs, 0.4, check_invariants=True)
+        assert default == reference
 
     def test_identical_on_adversarial_instance(self):
         prefs = adversarial_gale_shapley(14)
-        fast, reference = _both(prefs, 0.3)
-        assert fast == reference
+        default, reference = _both(prefs, 0.3)
+        assert default == reference
 
     def test_identical_per_round_stats(self):
         """Observer-visible per-round stats match step for step."""
@@ -74,10 +75,10 @@ class TestEngineEquivalence:
                 self.rounds.append(stats)
 
         prefs = complete_uniform(14, seed=13)
-        rec_fast, rec_ref = Recorder(), Recorder()
-        asm(prefs, 0.5, optimized=True, observer=rec_fast)
+        rec_default, rec_ref = Recorder(), Recorder()
+        asm(prefs, 0.5, optimized=True, observer=rec_default)
         asm(prefs, 0.5, optimized=False, observer=rec_ref)
-        assert rec_fast.rounds == rec_ref.rounds
+        assert rec_default.rounds == rec_ref.rounds
 
     def test_identical_under_removal_mode(self):
         """The almost-regular (Theorem 6) engine configuration."""
@@ -101,8 +102,8 @@ class TestEngineEquivalence:
             PreferenceProfile([[2, 0]], [[0], [], [0]]),
         ]
         for prefs in profiles:
-            fast, reference = _both(prefs, 0.5, check_invariants=True)
-            assert fast == reference
+            default, reference = _both(prefs, 0.5, check_invariants=True)
+            assert default == reference
 
 
 class TestEpsValidation:
@@ -162,7 +163,7 @@ class TestPreferenceCaches:
 
 
 class TestQuantileFastPaths:
-    """The sorted/present-map accessors agree with the frozenset API."""
+    """The sorted accessor agrees with the frozenset API."""
 
     def test_members_sorted_variants_agree(self):
         from repro.core.quantile import QuantizedList
@@ -172,18 +173,3 @@ class TestQuantileFastPaths:
         ql.remove(1)
         for q in range(1, 4):
             assert ql.members_of_sorted(q) == sorted(ql.members_of(q))
-            assert ql.members_at_least_sorted(q) == sorted(
-                ql.members_at_least(q)
-            )
-
-    def test_present_map_tracks_removals(self):
-        from repro.core.quantile import QuantizedList
-
-        ql = QuantizedList([5, 2, 8, 6], k=2)
-        assert ql.quantile_if_present(5) == 1
-        ql.remove(5)
-        assert ql.quantile_if_present(5) is None
-        assert ql.contains(2) and not ql.contains(5)
-        assert ql.present_map() == {2: 1, 8: 2, 6: 2}
-        # quantile_of survives removal (construction-time map)
-        assert ql.quantile_of(5) == 1

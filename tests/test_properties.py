@@ -11,9 +11,9 @@ instances per invariant:
 * **Theorem 3** — the final matching has at most ``ε·|E|`` blocking
   pairs.
 
-Each invariant is checked on both ``ASMEngine`` paths (optimized and
-reference — they must also agree exactly) and, on a reduced pinned
-subset, on the fault-free CONGEST protocol.  Instances are generated
+Each invariant is checked on both ``ASMEngine`` engines (reference and
+vec — they must also agree exactly) and, on a reduced pinned subset, on
+the fault-free CONGEST protocol.  Instances are generated
 with the stdlib ``random`` module from a fixed root seed, so the sweep
 is deterministic; crank ``REPRO_PROPERTY_TRIALS`` up for a deeper
 soak.
@@ -31,7 +31,12 @@ from repro.congest.protocols.asm_protocol import run_congest_asm
 from repro.core.asm import ASMEngine, ASMObserver
 from repro.faults import FaultPlan
 from repro.mm.deterministic import deterministic_maximal_matching
+from repro.vec import HAS_NUMPY
 from repro.workloads.generators import complete_uniform, gnp_incomplete
+
+needs_numpy = pytest.mark.skipif(
+    not HAS_NUMPY, reason="numpy not installed (repro[fast] extra)"
+)
 
 #: Instances per invariant; the CI fault-smoke job reduces this.
 TRIALS = int(os.environ.get("REPRO_PROPERTY_TRIALS", "200"))
@@ -55,7 +60,13 @@ def _profile(n, seed, incomplete):
 
 
 class InvariantObserver(ASMObserver):
-    """Collects Lemma 1 / Lemma 2 violations across one engine run."""
+    """Collects Lemma 1 / Lemma 2 violations across one engine run.
+
+    Lemma 1 is read through the path-agnostic partner table.  Lemma 2
+    reads the reference engine's active sets; on vec, which keeps no
+    per-man Python state, ``check_invariants=True`` makes the engine
+    assert Lemma 2 itself after every QuantileMatch.
+    """
 
     def __init__(self, prefs):
         self.prefs = prefs
@@ -63,7 +74,11 @@ class InvariantObserver(ASMObserver):
         self.violations = []
 
     def _check_lemma1(self, engine):
-        for w, m in enumerate(engine.woman_partner):
+        woman_partner = [None] * engine.n_women
+        for m, w in enumerate(engine.man_partners()):
+            if w is not None:
+                woman_partner[w] = m
+        for w, m in enumerate(woman_partner):
             old = self.partner_rank.get(w)
             if m is None:
                 if old is not None:
@@ -85,6 +100,8 @@ class InvariantObserver(ASMObserver):
 
     def on_quantile_match_end(self, engine):
         self._check_lemma1(engine)
+        if engine.optimized == "vec":
+            return
         for m in range(engine.n_men):
             if engine.removed[m]:
                 continue
@@ -107,7 +124,11 @@ def _run_engine(prefs, eps, optimized):
     return result, observer
 
 
-@pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
+@pytest.mark.parametrize(
+    "optimized",
+    [pytest.param("vec", marks=needs_numpy), False],
+    ids=["vec", "ref"],
+)
 def test_engine_invariants_hold_over_sweep(optimized):
     """Lemmas 1-2 and the Theorem 3 bound over the randomized sweep."""
     for n, eps, seed, incomplete in _CASES:
@@ -126,18 +147,19 @@ def test_engine_invariants_hold_over_sweep(optimized):
         )
 
 
+@needs_numpy
 def test_engine_paths_agree_over_sweep():
-    """The optimized and reference ProposalRound paths are bit-equal."""
+    """The vec and reference engines are bit-equal."""
     for n, eps, seed, incomplete in _CASES:
         prefs = _profile(n, seed, incomplete)
         if prefs.num_edges == 0:
             continue
-        fast = ASMEngine(prefs, eps, optimized=True).run()
+        vec = ASMEngine(prefs, eps, optimized="vec").run()
         ref = ASMEngine(prefs, eps, optimized=False).run()
-        assert fast.matching == ref.matching, (
+        assert vec.matching == ref.matching, (
             f"paths diverge on n={n} eps={eps} seed={seed}"
         )
-        assert fast.to_dict() == ref.to_dict()
+        assert vec.to_dict() == ref.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -159,31 +181,30 @@ def _congest_cases():
 
 def test_congest_matches_engine_and_eps_bound():
     """Differential grid: message-level ASM equals the logical engine
-    (both paths) on the same truncated schedule, and its output
-    respects the ε-bound on every pinned instance."""
+    on the same truncated schedule, and its output respects the ε-bound
+    on every pinned instance.  The truncated maximal-matching oracle
+    runs only on the reference engine."""
     for n, eps, seed in _congest_cases():
         prefs = complete_uniform(n, seed)
         mm_iters = 2 * n
         congest = run_congest_asm(
             prefs, eps, mm_iterations=mm_iters, **_CONGEST_SCHED
         )
-        for optimized in (True, False):
-            engine = ASMEngine(
-                prefs,
-                eps,
-                k=_CONGEST_SCHED["k"],
-                inner_iterations=_CONGEST_SCHED["inner_iterations"],
-                outer_iterations=_CONGEST_SCHED["outer_iterations"],
-                mm_oracle=lambda g: deterministic_maximal_matching(
-                    g, max_iterations=mm_iters
-                ),
-                optimized=optimized,
-            )
-            logical = engine.run()
-            assert congest.matching == logical.matching, (
-                f"congest != engine(optimized={optimized}) on "
-                f"n={n} eps={eps} seed={seed}"
-            )
+        engine = ASMEngine(
+            prefs,
+            eps,
+            k=_CONGEST_SCHED["k"],
+            inner_iterations=_CONGEST_SCHED["inner_iterations"],
+            outer_iterations=_CONGEST_SCHED["outer_iterations"],
+            mm_oracle=lambda g: deterministic_maximal_matching(
+                g, max_iterations=mm_iters
+            ),
+            optimized=False,
+        )
+        logical = engine.run()
+        assert congest.matching == logical.matching, (
+            f"congest != engine on n={n} eps={eps} seed={seed}"
+        )
         blocking = count_blocking_pairs(prefs, congest.matching)
         assert blocking <= eps * prefs.num_edges
 

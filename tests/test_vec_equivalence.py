@@ -24,12 +24,16 @@ import random
 import pytest
 
 from repro.analysis.stability import count_blocking_pairs
-from repro.core.asm import ASMEngine, asm
+from repro.core.almost_regular import almost_regular_asm
+from repro.core.asm import ASMEngine, ASMObserver, asm
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.core.quantile import quantile_boundaries
+from repro.core.rand_asm import rand_asm
 from repro.errors import InvalidParameterError, VecUnavailableError
 from repro.mm.oracles import israeli_itai_oracle
+from repro.perf.blocking_index import InstabilityTraceObserver
+from repro.trace.slo import SLOMonitor, StabilitySLO
 from repro.vec import HAS_NUMPY
 from repro.workloads.generators import (
     GENERATORS,
@@ -46,7 +50,7 @@ needs_numpy = pytest.mark.skipif(
 #: Instances for the property sweep; CI smoke jobs reduce this.
 TRIALS = int(os.environ.get("REPRO_PROPERTY_TRIALS", "200"))
 
-# Same representative grid the True/False equivalence suite pins.
+# Same representative grid the default-engine equivalence suite pins.
 GRID = [
     ("complete", {"n": 18, "seed": 0}),
     ("complete", {"n": 18, "seed": 1}),
@@ -346,6 +350,70 @@ class TestVecParameterValidation:
         )
 
 
+class _EngineKinds(ASMObserver):
+    """Records which engine (``engine.optimized``) each call ran on."""
+
+    def __init__(self):
+        self.kinds = set()
+
+    def on_quantile_match_end(self, engine):
+        self.kinds.add(engine.optimized)
+
+
+class TestDefaultEngineRule:
+    """``optimized=True`` takes vec exactly when the call can run on it."""
+
+    @needs_numpy
+    def test_default_asm_takes_vec(self):
+        kinds = _EngineKinds()
+        asm(complete_uniform(8, seed=0), 0.5, observer=kinds)
+        assert kinds.kinds == {"vec"}
+
+    def test_rand_asm_takes_reference(self):
+        kinds = _EngineKinds()
+        rand_asm(complete_uniform(8, seed=0), 0.5, seed=1, observer=kinds)
+        assert kinds.kinds == {False}
+
+    def test_almost_regular_asm_takes_reference(self):
+        kinds = _EngineKinds()
+        almost_regular_asm(
+            complete_uniform(8, seed=0), 0.5, seed=1, observer=kinds
+        )
+        assert kinds.kinds == {False}
+
+    def test_no_numpy_install_takes_reference(self, monkeypatch):
+        import repro.vec as vec_pkg
+
+        monkeypatch.setattr(vec_pkg, "HAS_NUMPY", False)
+        kinds = _EngineKinds()
+        asm(complete_uniform(8, seed=0), 0.5, observer=kinds)
+        assert kinds.kinds == {False}
+
+
+@needs_numpy
+class TestPartnerObserversOnBothEngines:
+    """The blocking-pair observers read partners the same way on vec
+    (``-1`` = unmatched in its arrays) as on the reference engine."""
+
+    def test_instability_trace_identical(self):
+        prefs = complete_uniform(12, seed=0)
+        counts = []
+        for optimized in (False, "vec"):
+            observer = InstabilityTraceObserver(prefs)
+            asm(prefs, 0.5, observer=observer, optimized=optimized)
+            counts.append(observer.counts)
+        assert counts[0] and counts[0] == counts[1]
+
+    def test_slo_trajectory_identical(self):
+        prefs = complete_uniform(12, seed=0)
+        runs = []
+        for optimized in (False, "vec"):
+            monitor = SLOMonitor(prefs, StabilitySLO(target_eps=0.05))
+            asm(prefs, 0.5, observer=monitor, optimized=optimized)
+            runs.append((monitor.trajectory, monitor.violations))
+        assert runs[0][0] and runs[0] == runs[1]
+
+
 class TestQuantileBoundaryCache:
     """Satellite: per-(degree, k) boundaries computed once, reused."""
 
@@ -381,7 +449,7 @@ class TestDynamicVecSolver:
         deltas = churn_stream(prefs, ChurnConfig(steps=12), 23)
         engines = [
             DynamicMatchingEngine(prefs, 0.5, solver_optimized=solver)
-            for solver in (True, "vec")
+            for solver in (False, "vec")
         ]
         for engine in engines:
             engine.apply_stream(deltas)
