@@ -18,7 +18,7 @@ algorithms, and ASM itself, cross-validated against the logical engine.
 
 from repro.congest.message import MESSAGE_SCHEMAS, Message, MessageSchema
 from repro.congest.recorder import MessageEvent, MessageRecorder
-from repro.congest.simulator import SimulationStats, Simulator
+from repro.congest.simulator import Idle, SimulationStats, Simulator
 from repro.congest.transport import (
     AsyncEventTransport,
     SyncTransport,
@@ -28,6 +28,7 @@ from repro.congest.transport import (
 __all__ = [
     "MESSAGE_SCHEMAS",
     "AsyncEventTransport",
+    "Idle",
     "Message",
     "MessageEvent",
     "MessageRecorder",

@@ -326,10 +326,15 @@ def run_congest_asm(
     Defaults follow the paper: ``k = ⌈8/ε⌉``, ``δ = ε/8``, inner loop
     ``⌈2δ⁻¹k⌉``, outer loop ``⌈log₂ n⌉ + 1``, and a maximal-matching
     budget of ``n_men + n_women`` pointer iterations (always enough for
-    exact maximality).  These schedules are large — use the overrides
-    for anything beyond small ``n`` (the logical engine exists
-    precisely to run the big cases; this protocol exists to prove the
-    algorithm really is a CONGEST protocol and to cross-validate).
+    exact maximality).  These schedules are long, but most of each
+    matching budget is slept through (a node without ``G₀`` edges, or
+    already matched, yields ``Idle``), and the simulator jumps over
+    rounds in which every node sleeps — so the cost tracks the rounds
+    that do work.  The proposal and reject slots still wake every node
+    once per ProposalRound, so use the overrides for anything beyond
+    small ``n`` (the logical engine exists precisely to run the big
+    cases; this protocol exists to prove the algorithm really is a
+    CONGEST protocol and to cross-validate).
     """
     import math
 

@@ -11,14 +11,21 @@ return the node's matched partner (or ``None``).
 * :func:`israeli_itai_fragment` — Israeli–Itai's randomized
   ``MatchingRound`` (Algorithm 4; 4 rounds per iteration) with local
   per-node randomness.
+
+A fragment sleeps through the rest of its schedule (``yield Idle(r)``,
+see :mod:`repro.congest.simulator`) once its remaining iterations
+provably ignore every inbox, whatever the transport or fault plan:
+once the node has a partner, and — for the pointer fragment only —
+once it has no active neighbor left.  The round count is unchanged.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Generator, Iterable, Optional, Set
+from typing import Dict, Generator, Iterable, Optional, Set, Union
 
 from repro.congest.message import Message
+from repro.congest.simulator import Idle
 from repro.graphs import NodeId
 
 __all__ = [
@@ -28,7 +35,9 @@ __all__ = [
 ]
 
 MatchFragment = Generator[
-    Dict[NodeId, Message], Dict[NodeId, Message], Optional[NodeId]
+    Union[Dict[NodeId, Message], Idle],
+    Dict[NodeId, Message],
+    Optional[NodeId],
 ]
 
 
@@ -46,12 +55,17 @@ def pointer_matching_fragment(
        them from their active sets.
 
     Runs the full ``iterations`` schedule even after marrying (other
-    nodes are still working — lockstep).  Returns the partner node id
-    or ``None``.
+    nodes are still working — lockstep), asleep once married or out of
+    active neighbors: neither sends again, and every inbox is then
+    either ignored or prunes an ``active`` set nothing reads.  Returns
+    the partner node id or ``None``.
     """
     active: Set[NodeId] = set(g0_neighbors)
     partner: Optional[NodeId] = None
-    for _ in range(iterations):
+    for i in range(iterations):
+        if partner is not None or not active:
+            yield Idle(2 * (iterations - i))
+            break
         outbox: Dict[NodeId, Message] = {}
         target: Optional[NodeId] = None
         if partner is None and active:
@@ -95,11 +109,17 @@ def port_order_fragment(
 
     Proposals reaching an already-matched right node are simply
     ignored — that edge is covered, so maximality is unaffected — which
-    lets left nodes run without knowing their neighbors' state.
+    lets left nodes run without knowing their neighbors' state.  A
+    matched node sleeps through the remaining iterations; an unmatched
+    one stays awake even with no ports left, since a late
+    ``PORT_ACCEPT`` can still reach it under reordering.
     """
     ports = sorted(g0_neighbors, key=repr)
     partner: Optional[NodeId] = None
     for i in range(iterations):
+        if partner is not None:
+            yield Idle(2 * (iterations - i))
+            break
         # Round 1: left proposes along port i.
         outbox: Dict[NodeId, Message] = {}
         if is_left and partner is None and i < len(ports):
@@ -138,12 +158,16 @@ def israeli_itai_fragment(
     3. ``II_PICK`` — pick one incident G′ edge; mutual picks marry;
     4. ``II_TAKEN`` — married nodes withdraw; neighbors prune them.
 
-    ``rng`` is this node's *local* randomness.  Returns the partner
-    node id or ``None``.
+    ``rng`` is this node's *local* randomness, drawn from only while
+    unmatched — so a matched node sleeps through the remaining
+    iterations.  Returns the partner node id or ``None``.
     """
     active: Set[NodeId] = set(g0_neighbors)
     partner: Optional[NodeId] = None
-    for _ in range(iterations):
+    for i in range(iterations):
+        if partner is not None:
+            yield Idle(4 * (iterations - i))
+            break
         # Round 1: random out-choice.
         outbox: Dict[NodeId, Message] = {}
         if partner is None and active:

@@ -17,14 +17,31 @@ delivered at the *same* yield's return — i.e. ``inbox = yield outbox``
 sends ``outbox`` and then receives everything the neighbors sent in
 that round.  A program that needs to "think" without sending yields an
 empty dict.
+
+Sleeping: a program may ``yield Idle(n)`` (``n`` an int ``>= 1``)
+instead of an outbox.  Yielded in round ``t``, it stands for ``n``
+consecutive ``yield {}`` whose inboxes the program ignores: the
+simulator does not resume the node until round ``t + n``, and the
+value sent in then (that round's inbox) is ignored too.  Messages
+addressed to a sleeper take the normal path — validation, faults,
+transport, deposit, recorder, tracer — and are recycled unread.  A
+program may sleep **only** where its code provably ignores every inbox
+for those rounds under *any* transport and fault plan; otherwise a late
+or duplicated message would be lost and the run would diverge from
+lockstep.  Sleeping never changes a run's output, stats, or traces —
+only how much work the simulator does: a round costs
+``O(awake + woken)`` nodes, and a fault-free run with nothing awake
+and nothing in flight jumps straight to the next wake-up, doing the
+bookkeeping of each skipped empty round.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Mapping, Optional
+from typing import Any, Dict, Generator, List, Mapping, Optional, Tuple, Union
 
 from repro.congest.message import Message
 from repro.congest.transport import SyncTransport, Transport
@@ -38,10 +55,26 @@ from repro.faults.plan import FaultPlan
 from repro.graphs import Graph, NodeId
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
-__all__ = ["NodeProgram", "SimulationStats", "Simulator"]
+__all__ = ["Idle", "NodeProgram", "SimulationStats", "Simulator"]
 
-# A node program yields {neighbor: Message} and receives {sender: Message}.
-NodeProgram = Generator[Dict[NodeId, Message], Dict[NodeId, Message], Any]
+
+@dataclass(frozen=True)
+class Idle:
+    """Yielded instead of an outbox: sleep for ``rounds`` rounds.
+
+    Equivalent to ``rounds`` consecutive ``yield {}`` whose inboxes
+    the program ignores (see the module docstring for the contract).
+    The simulator checks ``rounds`` is an int ``>= 1``.
+    """
+
+    rounds: int
+
+
+# A node program yields {neighbor: Message} (or Idle) and receives
+# {sender: Message}.
+NodeProgram = Generator[
+    Union[Dict[NodeId, Message], Idle], Dict[NodeId, Message], Any
+]
 
 
 @dataclass
@@ -156,6 +189,11 @@ class Simulator:
             v: i for i, v in enumerate(sorted(self.programs, key=repr))
         }
         self._started_map: Dict[NodeId, bool] = {}
+        # Nodes to resume next round, in canonical order, and sleepers
+        # keyed (wake round, canonical index, node): the unique index
+        # breaks ties, so node ids are never compared.
+        self._awake: List[NodeId] = list(self._order)
+        self._sleepers: List[Tuple[int, int, NodeId]] = []
         # Optional message recorder (see repro.congest.recorder): any
         # object with on_message(round, sender, recipient, message).
         self.recorder = recorder
@@ -189,7 +227,9 @@ class Simulator:
         """Whether every surviving program has returned."""
         return len(self.results) + len(self.crashed) == len(self.programs)
 
-    def _advance(self, v: NodeId) -> Optional[Dict[NodeId, Message]]:
+    def _advance(
+        self, v: NodeId
+    ) -> Optional[Union[Dict[NodeId, Message], Idle]]:
         """Advance one program a single round; capture its return value."""
         gen = self.programs[v]
         try:
@@ -262,16 +302,28 @@ class Simulator:
             )
         return bits
 
+    def _sleep(self, v: NodeId, idle: Idle, executing_round: int) -> None:
+        """Park ``v`` until round ``executing_round + idle.rounds``."""
+        n = idle.rounds
+        if type(n) is not int or n < 1:
+            raise ProtocolViolationError(
+                f"round {executing_round}: node {v!r} yielded "
+                f"Idle({n!r}); the sleep length must be an int >= 1"
+            )
+        heapq.heappush(
+            self._sleepers, (executing_round + n, self._order[v], v)
+        )
+
     def step(self) -> bool:
         """Execute one synchronous round; returns False once all done."""
         injector = self.faults
         telemetry = self.telemetry
         tracer = telemetry.tracer
-        profiler = telemetry.profiler
         # 1-based index of the round being executed, used so runtime
         # diagnostics can name where the protocol went wrong and point
         # at the static rule that would have caught it pre-run.
         executing_round = self.stats.rounds + 1
+        awake = self._awake
         if injector is not None:
             # Permanent crashes take effect at the start of the round:
             # the node's program is closed before it can send.
@@ -287,32 +339,39 @@ class Simulator:
                     # Detach the inbox so nothing queued there leaks
                     # into a captured result.
                     self._inboxes[v] = {}
+                    if v in awake:
+                        awake.remove(v)
             if tracer is not None:
                 for record in injector.records[fault_mark:]:
                     tracer.on_node_fault(record)
-        live = [
-            v
-            for v in self.programs
-            if v not in self.results and v not in self.crashed
-        ]
-        if not live:
+        if self.finished:
             return False
+        sleepers = self._sleepers
+        if sleepers and sleepers[0][0] <= executing_round:
+            crashed = self.crashed
+            while sleepers and sleepers[0][0] <= executing_round:
+                v = heapq.heappop(sleepers)[2]
+                if v not in crashed:
+                    awake.append(v)
+            awake.sort(key=self._order.__getitem__)
         observing = telemetry.enabled
-        profiling = profiler is not None
+        profiling = telemetry.profiler is not None
         t0 = time.perf_counter() if (observing or profiling) else 0.0
         outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
-        live.sort(key=self._order.__getitem__)
-        for v in live:
+        next_awake: List[NodeId] = []
+        for v in awake:
             out = self._advance(v)
-            if out is not None:
+            if out is None:
+                # Returned, or yielded None (no outbox, stays awake).
+                if v not in self.results:
+                    next_awake.append(v)
+            elif type(out) is Idle:
+                self._sleep(v, out, executing_round)
+            else:
                 outboxes[v] = out
-        # Last round's messages have now been consumed (every live
-        # program advanced past the yield that received them); recycle
-        # the touched inbox pools before delivering this round.
-        inboxes = self._inboxes
-        for v in self._touched_inboxes:
-            inboxes[v].clear()
-        self._touched_inboxes.clear()
+                next_awake.append(v)
+        self._awake = next_awake
+        self._recycle_inboxes()
         # Delivery is the transport's job (docs/transport.md): injector
         # deferrals land first, then transport deferrals, then fresh
         # sends in canonical node order.
@@ -322,39 +381,88 @@ class Simulator:
         round_messages, round_bits = self.transport.deliver_round(
             executing_round, outboxes, kind_counts
         )
+        self._end_round(executing_round, t0, round_messages, round_bits)
+        if kind_counts and observing:
+            telemetry.events.emit(
+                "message_batch",
+                round=self.stats.rounds,
+                kinds=kind_counts,
+            )
+        return not self.finished
+
+    def _recycle_inboxes(self) -> None:
+        """Clear the inbox pools that received messages last round.
+
+        Called once every program due this round has advanced past the
+        yield that received them; a sleeper's unread mail goes too.
+        """
+        inboxes = self._inboxes
+        for v in self._touched_inboxes:
+            inboxes[v].clear()
+        self._touched_inboxes.clear()
+
+    def _end_round(
+        self, executing_round: int, t0: float, messages: int, bits: int
+    ) -> None:
+        """Round bookkeeping: stats, tracer, profiler and telemetry."""
+        telemetry = self.telemetry
+        tracer = telemetry.tracer
+        profiler = telemetry.profiler
         self.stats.rounds += 1
-        self.stats.messages_per_round.append(round_messages)
+        self.stats.messages_per_round.append(messages)
         if tracer is not None:
             tracer.end_round(executing_round)
-        if profiling:
+        if profiler is not None:
             profiler.record(
                 "congest.round",
                 time.perf_counter() - t0,
-                messages=round_messages,
-                bits=round_bits,
+                messages=messages,
+                bits=bits,
             )
-        if observing:
+        if telemetry.enabled:
             elapsed = time.perf_counter() - t0
             metrics = telemetry.metrics
             metrics.inc("congest.rounds")
-            metrics.inc("congest.messages", round_messages)
-            metrics.inc("congest.bits", round_bits)
+            metrics.inc("congest.messages", messages)
+            metrics.inc("congest.bits", bits)
             metrics.observe("congest.round_seconds", elapsed)
-            metrics.observe("congest.messages_per_round", round_messages)
+            metrics.observe("congest.messages_per_round", messages)
             telemetry.events.emit(
                 "congest_round",
                 round=self.stats.rounds,
-                messages=round_messages,
-                bits=round_bits,
+                messages=messages,
+                bits=bits,
                 seconds=round(elapsed, 9),
             )
-            if kind_counts:
-                telemetry.events.emit(
-                    "message_batch",
-                    round=self.stats.rounds,
-                    kinds=kind_counts,
-                )
-        return not self.finished
+
+    def _skip_idle_rounds(self, max_rounds: Optional[int]) -> None:
+        """Jump over rounds in which no node would be resumed.
+
+        Only taken when nothing can happen in those rounds: no node is
+        awake, no fault plan can crash a node or release a deferred
+        message, and the transport holds nothing in flight.  Each
+        skipped round gets exactly the bookkeeping of an empty
+        :meth:`step`; the jump stops before the first wake-up and
+        never passes ``max_rounds``.
+        """
+        if (
+            self._awake
+            or not self._sleepers
+            or self.faults is not None
+            or self.transport.in_flight()
+        ):
+            return
+        last = self._sleepers[0][0] - 1
+        if max_rounds is not None:
+            last = min(last, max_rounds)
+        if last <= self.stats.rounds:
+            return
+        self._recycle_inboxes()
+        telemetry = self.telemetry
+        timed = telemetry.enabled or telemetry.profiler is not None
+        for executing_round in range(self.stats.rounds + 1, last + 1):
+            t0 = time.perf_counter() if timed else 0.0
+            self._end_round(executing_round, t0, 0, 0)
 
     def run(
         self,
@@ -398,6 +506,7 @@ class Simulator:
         )
         try:
             while self.step():
+                self._skip_idle_rounds(max_rounds)
                 if max_rounds is not None and self.stats.rounds >= max_rounds:
                     unfinished = [
                         v

@@ -3,9 +3,10 @@
 The simulator owns *computation* — advancing node programs in
 lockstep — and delegates *delivery* to a :class:`Transport`: given one
 round's validated outboxes, the transport decides **when** each
-message lands in its recipient's inbox.  Programs always advance one
-yield per round (CONGEST nodes cannot skip rounds), so a transport
-changes message timing, never the round structure.
+message lands in its recipient's inbox.  Every yield is one round (a
+program asleep in ``yield Idle(n)`` still spends ``n`` of them, and
+its mail is deposited and recycled unread), so a transport changes
+message timing, never the round structure.
 
 Two implementations:
 

@@ -44,8 +44,8 @@ class NodeCrash:
     ``restart_round is None`` means a permanent crash: the node's
     program is closed at the start of ``round`` and it neither sends
     nor receives again.  With a restart round, the node instead goes
-    *down* for rounds ``[round, restart_round)`` — its program still
-    advances in lockstep (CONGEST nodes cannot skip rounds) but every
+    *down* for rounds ``[round, restart_round)`` — its program keeps
+    its round clock (running, or asleep in ``yield Idle(n)``) but every
     message it sends or should receive in the window is dropped, the
     classic crash-restart-with-amnesia-free model.
     """

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.congest.message import TAG_BITS, Message
-from repro.congest.simulator import Simulator
+from repro.congest.simulator import Idle, Simulator
 from repro.errors import ProtocolViolationError, SimulationError
 from repro.graphs import Graph
+from repro.obs import Telemetry
+from repro.trace.profiler import PhaseProfiler
 
 
 def line_graph():
@@ -169,6 +171,92 @@ class TestValidation:
         assert sim.finished
         # Stepping a finished simulation is a no-op returning False.
         assert sim.step() is False
+
+
+def sleeper(rounds, log):
+    """Sleeps ``rounds`` rounds, logging every resume."""
+
+    def program():
+        log.append("start")
+        yield Idle(rounds)
+        log.append("woke")
+        yield {}
+        return "done"
+
+    return program()
+
+
+class TestIdle:
+    def test_sleeper_not_resumed_while_asleep(self):
+        g = line_graph()
+        log = []
+        programs = {"a": sleeper(3, log), "b": silent(6), "c": silent(6)}
+        sim = Simulator(g, programs)
+        for _ in range(3):
+            assert sim.step()
+            assert log == ["start"]
+        # Yielded Idle(3) in round 1: resumed in round 4.
+        assert sim.step()
+        assert log == ["start", "woke"]
+        sim.run()
+        assert sim.results["a"] == "done"
+        assert sim.stats.rounds == 7
+
+    def test_step_advances_one_round(self):
+        g = line_graph()
+        log = []
+        programs = {"a": sleeper(5, log), "b": sleeper(5, []),
+                    "c": sleeper(5, [])}
+        sim = Simulator(g, programs)
+        for expected in range(1, 5):
+            assert sim.step()
+            assert sim.stats.rounds == expected
+            assert sim.stats.messages_per_round == [0] * expected
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, "3", True, None])
+    def test_invalid_idle_rejected(self, bad):
+        g = line_graph()
+
+        def program():
+            yield {}
+            yield Idle(bad)
+
+        programs = {"a": program(), "b": silent(3), "c": silent(3)}
+        sim = Simulator(g, programs)
+        with pytest.raises(ProtocolViolationError, match=r"^round 2: .*Idle"):
+            sim.run()
+
+    def test_all_asleep_times_out_at_cap(self):
+        g = line_graph()
+        programs = {v: sleeper(100, []) for v in "abc"}
+        sim = Simulator(g, programs)
+        stats = sim.run(max_rounds=7, on_timeout="stop")
+        assert stats.outcome == "timeout"
+        assert stats.rounds == 7
+        assert stats.messages_per_round == [0] * 7
+        assert stats.unfinished_nodes == 3
+
+    def test_all_asleep_jump_lands_on_wake_round(self):
+        g = line_graph()
+        logs = {v: [] for v in "abc"}
+        programs = {v: sleeper(50, logs[v]) for v in "abc"}
+        profiler = PhaseProfiler()
+        sim = Simulator(
+            g, programs, telemetry=Telemetry.create(profiler=profiler)
+        )
+        stats = sim.run(max_rounds=52)
+        # Idle in round 1, woken in round 51, and every program returns
+        # in round 52; skipped rounds keep their per-round bookkeeping.
+        assert stats.outcome == "converged"
+        assert stats.rounds == 52
+        assert stats.messages_per_round == [0] * 52
+        assert all(log == ["start", "woke"] for log in logs.values())
+        rounds = [r for r in profiler.records if r["name"] == "congest.round"]
+        assert len(rounds) == 52
+        events = sim.telemetry.events.to_records()
+        assert [e["round"] for e in events if e["kind"] == "congest_round"] == (
+            list(range(1, 53))
+        )
 
 
 class TestDeliveryProperty:
