@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Scenario: inspect how an ASM run converges, round by round.
 
-Attaches a :class:`~repro.analysis.trace.TraceObserver` to an ASM run
-and prints the proposal-round timeline: proposals/accepts/rejects, the
-accepted-proposal graph G₀'s size, the matching size, and the good/bad
-men counts after every round — the mechanics of Lemmas 1, 2 and 6 made
-visible.
+Attaches a :class:`~repro.obs.observer.MetricsObserver` to an ASM run
+and prints the proposal-round timeline read from its event log:
+proposals/accepts/rejects, the accepted-proposal graph G₀'s size, the
+matching size, and the good/bad men counts after every round — the
+mechanics of Lemmas 1, 2 and 6 made visible.
 
 Run:  python examples/trace_timeline.py [n] [eps]
 """
@@ -16,7 +16,8 @@ import sys
 
 from repro import asm, gnp_incomplete, instability
 from repro.analysis.tables import format_table
-from repro.analysis.trace import TraceObserver
+from repro.analysis.trace import convergence_summary, timeline_table
+from repro.obs import MetricsObserver
 
 
 def main() -> None:
@@ -24,12 +25,13 @@ def main() -> None:
     eps = float(sys.argv[2]) if len(sys.argv) > 2 else 0.25
 
     prefs = gnp_incomplete(n, 0.3, seed=1)
-    trace = TraceObserver()
-    run = asm(prefs, eps, observer=trace)
+    observer = MetricsObserver()
+    run = asm(prefs, eps, observer=observer)
+    events = observer.telemetry.events
 
-    print(trace.timeline_table(max_rows=25))
+    print(timeline_table(events, max_rows=25))
 
-    summary = trace.convergence_summary()
+    summary = convergence_summary(events)
     print()
     print(
         format_table(

@@ -36,7 +36,6 @@ from repro.analysis import (
     is_stable,
     stability_report,
 )
-from repro.analysis.trace import TraceObserver
 from repro.analysis.welfare import welfare_report
 from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
@@ -105,7 +104,6 @@ __all__ = [
     "is_stable",
     "stability_report",
     # analysis extras
-    "TraceObserver",
     "welfare_report",
     # observability (repro.obs)
     "EventLog",

@@ -1,158 +1,95 @@
-"""Execution tracing for ASM runs.
+"""Proposal-round timelines of ASM runs, as views over an event log.
 
-:class:`TraceObserver` plugs into the engine's observer hooks and
-records a structured timeline: one record per executed ProposalRound
-(proposals, accepts, rejects, the accepted-proposal graph size, the
-matching size so far) plus per-outer-iteration summaries.  The
-timeline renders as an ASCII table for inspection and can be exported
-as plain dicts for downstream analysis.
-
-Since the telemetry layer landed, ``TraceObserver`` is a thin
-projection over :class:`repro.obs.observer.MetricsObserver`: the hooks
-write ``proposal_round`` / ``quantile_match`` / ``outer_iteration``
-records into a shared :class:`repro.obs.events.EventLog`, and the
-legacy views (``proposal_rounds``, ``records()``, the timeline table)
-are derived from that log — one capture path, two presentations.  The
-pre-telemetry API is preserved exactly.
+A :class:`~repro.obs.observer.MetricsObserver` attached to an ASM run
+writes one ``proposal_round`` record per executed ProposalRound into
+its :class:`~repro.obs.events.EventLog` (proposals, accepts, rejects,
+the accepted-proposal graph size, the matching size so far, good/bad
+men).  The functions here read those records back: as plain dicts, as
+an ASCII table, and as a convergence summary.  They work the same on a
+log reloaded from an events file.
 
 Example
 -------
 >>> from repro.core.asm import asm
+>>> from repro.obs.observer import MetricsObserver
 >>> from repro.workloads.generators import complete_uniform
->>> trace = TraceObserver()
->>> _ = asm(complete_uniform(16, seed=0), eps=0.5, observer=trace)
->>> len(trace.proposal_rounds) > 0
+>>> observer = MetricsObserver()
+>>> _ = asm(complete_uniform(16, seed=0), eps=0.5, observer=observer)
+>>> len(proposal_round_records(observer.telemetry.events)) > 0
 True
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import format_table
-from repro.core.asm import OuterIterationStats
-from repro.obs.observer import MetricsObserver
-from repro.obs.telemetry import Telemetry
+from repro.obs.events import EventLog
 
-__all__ = ["ProposalRoundRecord", "TraceObserver"]
+__all__ = ["convergence_summary", "proposal_round_records", "timeline_table"]
 
-
-@dataclass(frozen=True)
-class ProposalRoundRecord:
-    """Snapshot taken at the end of one executed ProposalRound."""
-
-    index: int
-    proposals: int
-    accepts: int
-    rejects: int
-    g0_nodes: int
-    g0_edges: int
-    matched_in_m0: int
-    mm_rounds: int
-    max_player_work: int
-    matching_size: int
-    good_men: int
-    bad_men: int
+#: The ``proposal_round`` fields a timeline row shows, in column order.
+_ROW_FIELDS = (
+    "index",
+    "proposals",
+    "accepts",
+    "rejects",
+    "g0_nodes",
+    "g0_edges",
+    "matched_in_m0",
+    "mm_rounds",
+    "max_player_work",
+    "matching_size",
+    "good_men",
+    "bad_men",
+)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(ProposalRoundRecord))
-_OUTER_FIELDS = tuple(f.name for f in fields(OuterIterationStats))
+def proposal_round_records(events: EventLog) -> List[Dict[str, Any]]:
+    """One dict per executed ProposalRound, in order."""
+    return [
+        {name: e.fields[name] for name in _ROW_FIELDS}
+        for e in events.by_kind("proposal_round")
+    ]
 
 
-class TraceObserver(MetricsObserver):
-    """Records a per-round timeline of an ASM (or variant) run.
+def timeline_table(events: EventLog, max_rows: int = 50) -> str:
+    """The first ``max_rows`` proposal rounds as a table."""
+    records = proposal_round_records(events)
+    suffix = ""
+    if len(records) > max_rows:
+        suffix = f"\n... {len(records) - max_rows} more rounds"
+    return (
+        format_table(records[:max_rows], title="ASM proposal-round timeline")
+        + suffix
+    )
 
-    All capture happens through the inherited
-    :class:`~repro.obs.observer.MetricsObserver` hooks; the properties
-    below reconstruct the legacy record types from the event log.
+
+def convergence_summary(events: EventLog) -> Dict[str, Any]:
+    """Headline facts about how the run converged.
+
+    ``rounds_to_90pct_matched`` is ``None`` when nothing was ever
+    matched — an empty final matching has no meaningful "90% of final
+    size" round (every round trivially satisfies ``|M| ≥ 0``).
     """
-
-    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
-        super().__init__(telemetry)
-
-    # ------------------------------------------------------------------
-    # Legacy views over the event log
-    # ------------------------------------------------------------------
-
-    @property
-    def proposal_rounds(self) -> List[ProposalRoundRecord]:
-        """One record per executed ProposalRound, in order."""
-        return [
-            ProposalRoundRecord(
-                **{name: e.fields[name] for name in _RECORD_FIELDS}
-            )
-            for e in self.telemetry.events.by_kind("proposal_round")
-        ]
-
-    @property
-    def quantile_match_boundaries(self) -> List[int]:
-        """Cumulative ProposalRound count at each QuantileMatch end."""
-        return [
-            e.fields["proposal_rounds_so_far"]
-            for e in self.telemetry.events.by_kind("quantile_match")
-        ]
-
-    @property
-    def outer_iterations(self) -> List[OuterIterationStats]:
-        """Per-outer-iteration summaries (Algorithm 3's ``i`` loop)."""
-        return [
-            OuterIterationStats(
-                **{name: e.fields[name] for name in _OUTER_FIELDS}
-            )
-            for e in self.telemetry.events.by_kind("outer_iteration")
-        ]
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def records(self) -> List[Dict[str, Any]]:
-        """The per-round timeline as plain dictionaries."""
-        return [asdict(r) for r in self.proposal_rounds]
-
-    def timeline_table(self, max_rows: int = 50) -> str:
-        """Render the first ``max_rows`` proposal rounds as a table."""
-        records = self.records()
-        rows = records[:max_rows]
-        suffix = ""
-        if len(records) > max_rows:
-            suffix = f"\n... {len(records) - max_rows} more rounds"
-        return (
-            format_table(rows, title="ASM proposal-round timeline") + suffix
-        )
-
-    def convergence_summary(self) -> Dict[str, Any]:
-        """Headline facts about how the run converged.
-
-        ``rounds_to_90pct_matched`` is ``None`` when nothing was ever
-        matched — an empty final matching has no meaningful "90% of
-        final size" round (every round trivially satisfies ``|M| ≥ 0``).
-        """
-        rounds = self.proposal_rounds
-        if not rounds:
-            return {
-                "proposal_rounds": 0,
-                "final_matching_size": 0,
-                "rounds_to_90pct_matched": None,
-                "total_proposals": 0,
-            }
-        final = rounds[-1].matching_size
-        if final == 0:
-            reach: Optional[int] = None
-        else:
-            target = 0.9 * final
-            reach = next(
-                (
-                    r.index + 1
-                    for r in rounds
-                    if r.matching_size >= target
-                ),
-                None,
-            )
+    rounds = proposal_round_records(events)
+    if not rounds:
         return {
-            "proposal_rounds": len(rounds),
-            "final_matching_size": final,
-            "rounds_to_90pct_matched": reach,
-            "total_proposals": sum(r.proposals for r in rounds),
+            "proposal_rounds": 0,
+            "final_matching_size": 0,
+            "rounds_to_90pct_matched": None,
+            "total_proposals": 0,
         }
+    final = rounds[-1]["matching_size"]
+    reach: Optional[int] = None
+    if final:
+        target = 0.9 * final
+        reach = next(
+            r["index"] + 1 for r in rounds if r["matching_size"] >= target
+        )
+    return {
+        "proposal_rounds": len(rounds),
+        "final_matching_size": final,
+        "rounds_to_90pct_matched": reach,
+        "total_proposals": sum(r["proposals"] for r in rounds),
+    }

@@ -17,7 +17,6 @@ algorithms, and ASM itself, cross-validated against the logical engine.
 """
 
 from repro.congest.message import MESSAGE_SCHEMAS, Message, MessageSchema
-from repro.congest.recorder import MessageEvent, MessageRecorder
 from repro.congest.simulator import Idle, SimulationStats, Simulator
 from repro.congest.transport import (
     AsyncEventTransport,
@@ -30,8 +29,6 @@ __all__ = [
     "AsyncEventTransport",
     "Idle",
     "Message",
-    "MessageEvent",
-    "MessageRecorder",
     "MessageSchema",
     "SimulationStats",
     "Simulator",

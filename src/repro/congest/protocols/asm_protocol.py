@@ -309,7 +309,6 @@ def run_congest_asm(
     mm_iterations: Optional[int] = None,
     mm_kind: str = "pointer",
     seed: int = 0,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -357,8 +356,7 @@ def run_congest_asm(
         seed=seed,
     )
     return _run_with_schedule(
-        prefs, sched, recorder=recorder, telemetry=telemetry, faults=faults,
-        transport=transport,
+        prefs, sched, telemetry=telemetry, faults=faults, transport=transport,
     )
 
 
@@ -371,7 +369,6 @@ def run_congest_rand_asm(
     inner_iterations: Optional[int] = None,
     outer_iterations: Optional[int] = None,
     mm_iterations: Optional[int] = None,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -401,7 +398,6 @@ def run_congest_rand_asm(
         ),
         mm_kind="israeli_itai",
         seed=seed,
-        recorder=recorder,
         telemetry=telemetry,
         faults=faults,
         transport=transport,
@@ -418,7 +414,6 @@ def run_congest_almost_regular_asm(
     quantile_match_iterations: Optional[int] = None,
     mm_iterations: Optional[int] = None,
     mm_kind: str = "israeli_itai",
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -454,15 +449,13 @@ def run_congest_almost_regular_asm(
         remove_violators=True,
     )
     return _run_with_schedule(
-        prefs, sched, recorder=recorder, telemetry=telemetry, faults=faults,
-        transport=transport,
+        prefs, sched, telemetry=telemetry, faults=faults, transport=transport,
     )
 
 
 def _run_with_schedule(
     prefs: PreferenceProfile,
     sched: ASMSchedule,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -486,8 +479,8 @@ def _run_with_schedule(
             w, prefs.woman_list(w), sched, rng, tally
         )
     sim = Simulator(
-        graph, programs, recorder=recorder, telemetry=telemetry,
-        faults=faults, transport=transport,
+        graph, programs, telemetry=telemetry, faults=faults,
+        transport=transport,
     )
     # A reordering transport (nonzero latency) degrades runs the same
     # way fault injection does: late messages can leave one-sided

@@ -24,7 +24,7 @@ consecutive ``yield {}`` whose inboxes the program ignores: the
 simulator does not resume the node until round ``t + n``, and the
 value sent in then (that round's inbox) is ignored too.  Messages
 addressed to a sleeper take the normal path — validation, faults,
-transport, deposit, recorder, tracer — and are recycled unread.  A
+transport, deposit, tracer — and are recycled unread.  A
 program may sleep **only** where its code provably ignores every inbox
 for those rounds under *any* transport and fault plan; otherwise a late
 or duplicated message would be lost and the run would diverge from
@@ -119,9 +119,6 @@ class Simulator:
     bit_cap_factor:
         The ``O(·)`` constant of the ``O(log n)`` cap: messages may use
         at most ``bit_cap_factor · (⌈log₂ n⌉ + 1)`` bits.
-    recorder:
-        Optional :class:`~repro.congest.recorder.MessageRecorder` (any
-        object with ``on_message(round, sender, recipient, message)``).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` bundle; when
         enabled, every round is timed (``congest.round_seconds``
@@ -130,10 +127,12 @@ class Simulator:
         a ``message_batch`` record (per-kind counts) for every round
         that carried messages.  A bundle carrying a
         :class:`~repro.trace.span.CausalTracer` gets every validated
-        send recorded with a causal trace id (fault fates included),
-        and one carrying a :class:`~repro.trace.profiler.PhaseProfiler`
-        gets a ``congest.round`` wall/ops record per round; both hooks
-        are skipped entirely when absent.
+        send recorded with a causal trace id (fault fates included;
+        :meth:`~repro.trace.analysis.CausalTrace.delivered` lists what
+        reached each inbox), and one carrying a
+        :class:`~repro.trace.profiler.PhaseProfiler` gets a
+        ``congest.round`` wall/ops record per round; both hooks are
+        skipped entirely when absent.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`; when given, a
         :class:`~repro.faults.injector.FaultInjector` mediates every
@@ -153,7 +152,6 @@ class Simulator:
         programs: Mapping[NodeId, NodeProgram],
         *,
         bit_cap_factor: int = 8,
-        recorder: Optional[Any] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultPlan] = None,
         transport: Optional[Transport] = None,
@@ -194,9 +192,6 @@ class Simulator:
         # breaks ties, so node ids are never compared.
         self._awake: List[NodeId] = list(self._order)
         self._sleepers: List[Tuple[int, int, NodeId]] = []
-        # Optional message recorder (see repro.congest.recorder): any
-        # object with on_message(round, sender, recipient, message).
-        self.recorder = recorder
         # Optional telemetry bundle (see repro.obs): per-round timings
         # and message counts flow into its registry and event log.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -246,21 +241,15 @@ class Simulator:
             return None
 
     def _deposit(
-        self,
-        executing_round: int,
-        sender: NodeId,
-        recipient: NodeId,
-        msg: Message,
+        self, sender: NodeId, recipient: NodeId, msg: Message
     ) -> None:
-        """Place one message in the recipient's inbox (+ recorder)."""
+        """Place one message in the recipient's inbox."""
         inboxes = self._inboxes
         if recipient in inboxes:
             box = inboxes[recipient]
             if not box:
                 self._touched_inboxes.append(recipient)
             box[sender] = msg
-        if self.recorder is not None:
-            self.recorder.on_message(executing_round, sender, recipient, msg)
 
     def _validate(
         self,

@@ -141,7 +141,7 @@ class Transport:
             for sender, recipient, msg in injector.due(
                 executing_round, sim.crashed
             ):
-                sim._deposit(executing_round, sender, recipient, msg)
+                sim._deposit(sender, recipient, msg)
                 if tracer is not None:
                     tracer.on_deferred_delivery(
                         executing_round, repr(sender), repr(recipient),
@@ -225,7 +225,7 @@ class Transport:
         edge in the same round.
         """
         sim = self._sim
-        sim._deposit(executing_round, sender, recipient, msg)
+        sim._deposit(sender, recipient, msg)
         if tid is not None:
             sim.telemetry.tracer.on_delivered(recipient, tid)
 
@@ -334,7 +334,7 @@ class AsyncEventTransport(Transport):
                 if tracer is not None:
                     tracer.on_transport_drop(executing_round, tid)
                 continue
-            sim._deposit(executing_round, sender, recipient, msg)
+            sim._deposit(sender, recipient, msg)
             self.delivered_late += 1
             if tracer is not None:
                 tracer.on_transport_delivery(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List
 
 from repro.errors import InvalidParameterError
 
@@ -91,6 +91,13 @@ class Event:
         return record
 
 
+def _unknown_kind(kind: str) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"unknown event kind {kind!r}; known kinds: "
+        f"{', '.join(sorted(EVENT_KINDS))}"
+    )
+
+
 class EventLog:
     """Append-only, schema-checked event stream for one run.
 
@@ -98,18 +105,10 @@ class EventLog:
     ----------
     enabled:
         When False, :meth:`emit` is a no-op.
-    extra_kinds:
-        Additional kinds (beyond :data:`EVENT_KINDS`) this log accepts
-        — for downstream extensions; the core schema stays closed.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        extra_kinds: Optional[Iterable[str]] = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.kinds = EVENT_KINDS | frozenset(extra_kinds or ())
         self.events: List[Event] = []
         self._t0 = time.perf_counter()
 
@@ -117,11 +116,8 @@ class EventLog:
         """Append one event of schema ``kind`` with payload ``fields``."""
         if not self.enabled:
             return
-        if kind not in self.kinds:
-            raise InvalidParameterError(
-                f"unknown event kind {kind!r}; known kinds: "
-                f"{', '.join(sorted(self.kinds))}"
-            )
+        if kind not in EVENT_KINDS:
+            raise _unknown_kind(kind)
         self.events.append(
             Event(
                 kind=kind,
@@ -155,29 +151,21 @@ class EventLog:
             )
 
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[Dict[str, Any]],
-        extra_kinds: Optional[Iterable[str]] = None,
-    ) -> "EventLog":
+    def from_records(cls, records: Iterable[Dict[str, Any]]) -> "EventLog":
         """Rebuild a log from :meth:`to_records` output.
 
         Used to reconstitute a worker process's event stream in the
         parent before :meth:`merge`.  Records are trusted (they were
-        schema-checked at emission), but unknown kinds still raise
-        unless listed in ``extra_kinds``.
+        schema-checked at emission), but unknown kinds still raise.
         """
-        log = cls(enabled=True, extra_kinds=extra_kinds)
+        log = cls(enabled=True)
         for record in records:
             payload = dict(record)
             kind = payload.pop("kind")
             payload.pop("seq", None)
             t = payload.pop("t", 0.0)
-            if kind not in log.kinds:
-                raise InvalidParameterError(
-                    f"unknown event kind {kind!r}; known kinds: "
-                    f"{', '.join(sorted(log.kinds))}"
-                )
+            if kind not in EVENT_KINDS:
+                raise _unknown_kind(kind)
             log.events.append(
                 Event(kind=kind, seq=len(log.events), t=t, fields=payload)
             )

@@ -12,9 +12,8 @@ records in its :class:`~repro.obs.events.EventLog`:
 * ``on_outer_iteration_end`` → an ``outer_iteration`` event carrying
   :class:`~repro.core.asm.OuterIterationStats`.
 
-:class:`~repro.analysis.trace.TraceObserver` is re-expressed on top of
-this class: its legacy views (``proposal_rounds``, ``records()``, the
-timeline table) are projections of the event log.
+:mod:`repro.analysis.trace` reads the per-round timeline back out of
+that log (records, the timeline table, the convergence summary).
 
 Example
 -------

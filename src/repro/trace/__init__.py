@@ -12,8 +12,9 @@ Three deterministic instruments over one run:
   trajectories.
 
 Plus :mod:`repro.trace.analysis` (chain reconstruction, critical
-paths, fault impact) and :mod:`repro.trace.harness` (sharded traced
-trials with worker-count-independent merges).
+paths, fault impact, the delivered-message view) and
+:mod:`repro.trace.harness` (sharded traced trials with
+worker-count-independent merges).
 """
 
 from repro.trace.analysis import CausalTrace, explain_blocking_pairs

@@ -16,16 +16,26 @@ raise:
 * :meth:`CausalTrace.fault_impact` — per fault action, how many
   messages it touched and how much downstream traffic each dropped
   message would have been parent to.
+* :meth:`CausalTrace.delivered` — every message copy that reached an
+  inbox, at the round it landed; :func:`count_by`,
+  :func:`busiest_round` and :func:`sequence_table` summarize it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.tables import format_table
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 
-__all__ = ["CausalTrace", "explain_blocking_pairs"]
+__all__ = [
+    "CausalTrace",
+    "busiest_round",
+    "count_by",
+    "explain_blocking_pairs",
+    "sequence_table",
+]
 
 
 def _man_repr(m: int) -> str:
@@ -82,6 +92,37 @@ class CausalTrace:
         out = list(self._by_link.get((ra, rb), []))
         out.extend(self._by_link.get((rb, ra), []))
         out.sort(key=lambda r: (r["round"], r["id"]))
+        return out
+
+    def delivered(self) -> List[Dict[str, Any]]:
+        """Every message copy deposited in an inbox, in deposit order.
+
+        A ``message`` record whose final fate is ``delivered`` landed
+        in its send round; each ``redelivery`` record is one more copy
+        (delayed, duplicated, or held by the transport) landing later.
+        Each entry is ``{"round", "id", "from", "to", "kind"}`` with
+        the round it landed in.
+        """
+        out: List[Dict[str, Any]] = []
+        for record in self.records:
+            rtype = record.get("type")
+            if rtype == "message":
+                if record.get("fate") != "delivered":
+                    continue
+                message = record
+            elif rtype == "redelivery":
+                message = self._messages[record["id"]]
+            else:
+                continue
+            out.append(
+                {
+                    "round": record["round"],
+                    "id": message["id"],
+                    "from": message["from"],
+                    "to": message["to"],
+                    "kind": message["kind"],
+                }
+            )
         return out
 
     def node_faults(self, node: Any) -> List[Dict[str, Any]]:
@@ -178,7 +219,8 @@ class CausalTrace:
     def fault_impact(self) -> Dict[str, Any]:
         """Per-fault causal-impact report.
 
-        ``by_action`` counts messages annotated with each fault action;
+        ``by_action`` counts the fault actions taken on messages (a
+        message delayed and then duplicated counts once under each);
         ``dropped_messages`` lists every dropped message with the depth
         of the chain it terminated and how many downstream messages its
         sender's earlier traffic went on to cause (descendants of its
@@ -188,7 +230,8 @@ class CausalTrace:
         for record in self.messages():
             action = record.get("fault")
             if action:
-                by_action[action] = by_action.get(action, 0) + 1
+                for taken in record.get("faults", [action]):
+                    by_action[taken] = by_action.get(taken, 0) + 1
         dropped_report: List[Dict[str, Any]] = []
         for record in self.dropped():
             chain = self.chain(record["id"])
@@ -273,3 +316,39 @@ def explain_blocking_pairs(
         trace.explain_blocking_pair(m, w)
         for m, w in sorted(find_blocking_pairs(prefs, matching))
     ]
+
+
+def count_by(
+    deliveries: Iterable[Dict[str, Any]], field: str
+) -> Dict[Any, int]:
+    """Deliveries per value of ``field`` (e.g. ``"kind"``, ``"round"``),
+    in sorted key order."""
+    counts: Dict[Any, int] = {}
+    for entry in deliveries:
+        key = entry[field]
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def busiest_round(deliveries: Iterable[Dict[str, Any]]) -> Optional[int]:
+    """The round with the most deliveries; the earliest on a tie
+    (``None`` when nothing was delivered)."""
+    per_round = count_by(deliveries, "round")
+    if not per_round:
+        return None
+    return max(per_round, key=lambda r: (per_round[r], -r))
+
+
+def sequence_table(
+    deliveries: Sequence[Dict[str, Any]], limit: int = 40
+) -> str:
+    """The first ``limit`` deliveries as a message-sequence table."""
+    rows = [
+        {"round": e["round"], "from": e["from"], "to": e["to"],
+         "kind": e["kind"]}
+        for e in deliveries[:limit]
+    ]
+    suffix = ""
+    if len(deliveries) > limit:
+        suffix = f"\n... {len(deliveries) - limit} more deliveries"
+    return format_table(rows, title="message sequence") + suffix

@@ -71,7 +71,8 @@ class SLOMonitor(ASMObserver):
     Attributes
     ----------
     trajectory:
-        ``(round, eps)`` after each ProposalRound, in order.
+        ``(round, eps, blocking_pairs)`` after each ProposalRound, in
+        order.
     violations:
         One dict per round where the SLO was binding and breached:
         ``{"round", "eps", "target_eps", "blocking_pairs"}``.
@@ -88,9 +89,6 @@ class SLOMonitor(ASMObserver):
         ``sample_every``-th round as ``slo_sample``.
     sample_every:
         Cadence of ``slo_sample`` events (1 = every round).
-    inner:
-        Optional observer to delegate every hook to, so the monitor
-        can wrap an existing observer chain.
     """
 
     def __init__(
@@ -100,7 +98,6 @@ class SLOMonitor(ASMObserver):
         *,
         events: Optional[Any] = None,
         sample_every: int = 1,
-        inner: Optional[ASMObserver] = None,
     ) -> None:
         if sample_every < 1:
             raise InvalidParameterError(
@@ -108,11 +105,10 @@ class SLOMonitor(ASMObserver):
             )
         self.slo = slo
         self.index = BlockingPairIndex(prefs)
-        self.trajectory: List[Tuple[int, float]] = []
+        self.trajectory: List[Tuple[int, float, int]] = []
         self.violations: List[Dict[str, Any]] = []
         self._events = events
         self._sample_every = sample_every
-        self._inner = inner
         self._rounds = 0
         self._num_edges = prefs.num_edges
 
@@ -125,7 +121,7 @@ class SLOMonitor(ASMObserver):
         self.index.update_from_partner_lists(engine.man_partners())
         blocking = len(self.index)
         eps = blocking / self._num_edges if self._num_edges else 0.0
-        self.trajectory.append((self._rounds, eps))
+        self.trajectory.append((self._rounds, eps, blocking))
         binding = self.slo.in_effect(self._rounds)
         if self._events is not None and (
             self._rounds % self._sample_every == 0
@@ -148,16 +144,6 @@ class SLOMonitor(ASMObserver):
             self.violations.append(violation)
             if self._events is not None:
                 self._events.emit("slo_violation", **violation)
-        if self._inner is not None:
-            self._inner.on_proposal_round_end(engine, stats)
-
-    def on_quantile_match_end(self, engine: ASMEngine) -> None:
-        if self._inner is not None:
-            self._inner.on_quantile_match_end(engine)
-
-    def on_outer_iteration_end(self, engine: ASMEngine, stats: Any) -> None:
-        if self._inner is not None:
-            self._inner.on_outer_iteration_end(engine, stats)
 
     # -- reporting -----------------------------------------------------
 
@@ -183,7 +169,7 @@ class SLOMonitor(ASMObserver):
 
     def report(self) -> Dict[str, Any]:
         """JSON-shaped summary of the trajectory and verdict."""
-        worst = max((eps for _, eps in self.trajectory), default=0.0)
+        worst = max((eps for _, eps, _ in self.trajectory), default=0.0)
         return {
             "target_eps": self.slo.target_eps,
             "deadline_rounds": self.slo.deadline_rounds,
@@ -193,6 +179,7 @@ class SLOMonitor(ASMObserver):
             "violations": list(self.violations),
             "satisfied": self.satisfied,
             "trajectory": [
-                {"round": r, "eps": eps} for r, eps in self.trajectory
+                {"round": r, "eps": eps, "blocking_pairs": blocking}
+                for r, eps, blocking in self.trajectory
             ],
         }

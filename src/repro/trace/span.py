@@ -15,9 +15,11 @@ dicts — byte-identical across runs, worker counts, and processes:
 
 ``message``
     One validated send: id, parent id, round, link, kind, and its
-    ``fate`` (``delivered`` / ``deferred`` / ``dropped``).  Fault
-    injections (:mod:`repro.faults`) annotate the record with the
-    ``fault`` action that touched it — the span that killed a chain.
+    ``fate`` (``delivered`` / ``deferred`` / ``dropped``) — what
+    became of the copy sent in its round.  Fault injections
+    (:mod:`repro.faults`) annotate the record with the latest ``fault``
+    action that touched it — the span that killed a chain — and, when
+    more than one did, with ``faults``, the list of all of them.
 ``redelivery``
     A deferred (delayed/duplicated) message landing in a later round.
 ``crash`` / ``down`` / ``restart``
@@ -88,6 +90,19 @@ def derive_trace_id(parent: str, *components: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_ID_HEX]
 
 
+def _annotate(record: Dict[str, Any], action: str) -> None:
+    """Add one fault ``action`` to a message record.
+
+    ``fault`` always names the latest action.  A message touched more
+    than once (delayed and duplicated, or deferred and then dropped
+    late) also carries ``faults``: every action, in order.
+    """
+    previous = record.get("fault")
+    if previous is not None:
+        record["faults"] = record.get("faults", [previous]) + [action]
+    record["fault"] = action
+
+
 class CausalTracer:
     """Deterministic causal trace of one simulated run.
 
@@ -155,18 +170,14 @@ class CausalTracer:
         if record is None:
             return
         action = fault_record["action"]
+        _annotate(record, action)
         if action in DROP_ACTIONS:
             record["fate"] = "dropped"
-            record["fault"] = action
-        elif action == "delay":
-            record["fate"] = "deferred"
-            record["fault"] = action
-            until = fault_record["until"]
-            record["until"] = until
-            self._defer(until, record, tid)
-        elif action == "duplicate":
-            # Original copy still lands now; the duplicate lands later.
-            record["fault"] = action
+        elif action in ("delay", "duplicate"):
+            # A duplicate's original copy still lands now (fate stays
+            # as it was); the extra copy lands later.
+            if action == "delay":
+                record["fate"] = "deferred"
             until = fault_record["until"]
             record["until"] = until
             self._defer(until, record, tid)
@@ -213,8 +224,11 @@ class CausalTracer:
         tid = queue.pop(0)
         record = self._by_id.get(tid)
         if record is not None:
-            record["fate"] = "dropped"
-            record["fault"] = "drop_late"
+            _annotate(record, "drop_late")
+            # Only a copy held back at send time makes the message lost;
+            # a duplicate's lost copy leaves the delivered original.
+            if record["fate"] == "deferred":
+                record["fate"] = "dropped"
         return tid
 
     # ------------------------------------------------------------------
@@ -271,7 +285,7 @@ class CausalTracer:
         record = self._by_id.get(tid)
         if record is not None:
             record["fate"] = "dropped"
-            record["fault"] = "drop_late"
+            _annotate(record, "drop_late")
 
     def on_node_fault(self, record: Dict[str, Any]) -> None:
         """Record a node-level injector event (crash/down/restart)."""

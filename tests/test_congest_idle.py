@@ -6,9 +6,10 @@ The differential check here holds the simulator to it: every run is
 repeated with each program wrapped in :func:`expand_idle`, which turns
 every ``Idle(n)`` back into ``n`` lockstep ``yield {}`` (forwarding the
 inboxes), so the expanded run is the all-nodes-every-round semantics.
-The two runs must agree on the matching, the stats, the causal trace,
-the fault trace, the message log, the event log and the profiler's
-per-round records — across protocols, transports and fault plans.
+The two runs must agree on the matching, the stats, the causal trace
+(and so on the messages delivered), the fault trace, the event log
+and the profiler's per-round records — across protocols, transports
+and fault plans.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.congest import (
     AsyncEventTransport,
     Idle,
     Message,
-    MessageRecorder,
     Simulator,
 )
 from repro.congest.protocols import (
@@ -161,11 +161,7 @@ def _fingerprint(runner, transport, plan):
     tracer = CausalTracer()
     profiler = PhaseProfiler()
     telemetry = Telemetry.create(tracer=tracer, profiler=profiler)
-    recorder = MessageRecorder()
-    result = runner(
-        telemetry=telemetry, recorder=recorder, faults=plan,
-        transport=transport,
-    )
+    result = runner(telemetry=telemetry, faults=plan, transport=transport)
     state = telemetry.metrics.raw_state()
     return {
         "pairs": sorted(result.matching.pairs()),
@@ -175,10 +171,6 @@ def _fingerprint(runner, transport, plan):
         "stats": asdict(result.stats),
         "trace": tracer.to_records(),
         "faults": list(result.fault_trace),
-        "messages": [
-            (e.round, repr(e.sender), repr(e.recipient), e.kind)
-            for e in recorder.events
-        ],
         "events": _scrub(telemetry.events.to_records(), ("t", "seconds")),
         "counters": state["counters"],
         "profile": _scrub(profiler.records, ("ts", "dur")),
@@ -286,10 +278,8 @@ def test_fragment_sleeps_only_where_inbox_is_ignored(kind, latency, plan):
 
     def run(fragment, graph, link_seed):
         tracer = CausalTracer()
-        recorder = MessageRecorder()
         sim = Simulator(
             graph, _fragment_programs(kind, fragment, graph),
-            recorder=recorder,
             telemetry=Telemetry.tracing(tracer=tracer), faults=plan,
             transport=AsyncEventTransport(
                 parse_latency(latency), link_seed=link_seed
@@ -301,10 +291,6 @@ def test_fragment_sleeps_only_where_inbox_is_ignored(kind, latency, plan):
                 (repr(v), repr(p)) for v, p in sim.results.items()
             ),
             "stats": asdict(stats),
-            "messages": [
-                (e.round, repr(e.sender), repr(e.recipient), e.kind)
-                for e in recorder.events
-            ],
             "trace": tracer.to_records(),
         }
 
@@ -350,19 +336,14 @@ def _sender(rounds):
 
 def _directed(sim_cls, programs, **kwargs):
     tracer = CausalTracer()
-    recorder = MessageRecorder()
     sim = sim_cls(
         _pair_graph(), programs(),
-        telemetry=Telemetry.tracing(tracer=tracer), recorder=recorder,
-        **kwargs,
+        telemetry=Telemetry.tracing(tracer=tracer), **kwargs,
     )
     stats = sim.run(20, on_timeout="stop")
     return sim, {
         "stats": asdict(stats),
         "trace": tracer.to_records(),
-        "messages": [
-            (e.round, e.sender, e.recipient, e.kind) for e in recorder.events
-        ],
         "crashed": dict(sim.crashed),
         "faults": list(sim.faults.records) if sim.faults else [],
     }

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.congest.message import TAG_BITS, Message
 from repro.congest.simulator import Idle, Simulator
+from repro.congest.transport import AsyncEventTransport
 from repro.errors import ProtocolViolationError, SimulationError
+from repro.faults import FaultPlan
 from repro.graphs import Graph
 from repro.obs import Telemetry
+from repro.trace import CausalTrace, CausalTracer
 from repro.trace.profiler import PhaseProfiler
+from repro.workloads import parse_latency
 
 
 def line_graph():
@@ -259,63 +265,135 @@ class TestIdle:
         )
 
 
+def _random_script(seed, rounds):
+    """A random graph on 6 nodes and, per node and round, a random
+    outbox whose payload is the send round."""
+    rng = random.Random(seed)
+    g = Graph()
+    nodes = list(range(6))
+    for v in nodes:
+        g.add_node(v)
+    for u in nodes:
+        for v in nodes:
+            if u < v and rng.random() < 0.5:
+                g.add_edge(u, v)
+    plan = {}
+    for v in nodes:
+        plan[v] = []
+        for t in range(1, rounds + 1):
+            plan[v].append(
+                {
+                    u: Message("M", (t,))
+                    for u in sorted(g.neighbors(v))
+                    if rng.random() < 0.4
+                }
+            )
+    return g, plan
+
+
+def _logging_program(outboxes, rounds, log):
+    """Never sleeps: sends ``outboxes`` in turn, then listens, until
+    ``rounds`` rounds are done; logs every inbox it receives."""
+
+    def run():
+        for t in range(rounds):
+            inbox = yield outboxes[t] if t < len(outboxes) else {}
+            log.append(dict(inbox))
+
+    return run()
+
+
 class TestDeliveryProperty:
     def test_random_delivery_model_check(self):
         """Model-based check: for random graphs and random scripted
         outboxes, every sent message (and nothing else) is delivered to
         exactly the right node in the right round."""
-        import random as _random
-
-        from repro.congest.recorder import MessageRecorder
-
+        rounds = 4
         for seed in range(5):
-            rng = _random.Random(seed)
-            g = Graph()
-            nodes = list(range(6))
-            for v in nodes:
-                g.add_node(v)
-            for u in nodes:
-                for v in nodes:
-                    if u < v and rng.random() < 0.5:
-                        g.add_edge(u, v)
-            rounds = 4
-            # Script: plan[v][t] = {nbr: Message} chosen at random.
-            plan = {}
-            for v in nodes:
-                nbrs = sorted(g.neighbors(v))
-                plan[v] = []
-                for t in range(rounds):
-                    outbox = {}
-                    for u in nbrs:
-                        if rng.random() < 0.4:
-                            outbox[u] = Message("M", (t,))
-                    plan[v].append(outbox)
-
-            received = {v: [] for v in nodes}
-
-            def program(v):
-                def run():
-                    for t in range(rounds):
-                        inbox = yield plan[v][t]
-                        received[v].append(dict(inbox))
-                    return None
-
-                return run()
-
-            rec = MessageRecorder()
+            g, plan = _random_script(seed, rounds)
+            received = {v: [] for v in plan}
+            tracer = CausalTracer()
             sim = Simulator(
-                g, {v: program(v) for v in nodes}, recorder=rec
+                g,
+                {
+                    v: _logging_program(plan[v], rounds, received[v])
+                    for v in plan
+                },
+                telemetry=Telemetry.tracing(tracer=tracer),
             )
             sim.run()
             # Check exact delivery.
             expected_total = 0
-            for v in nodes:
+            for v in plan:
                 for t in range(rounds):
                     for u, msg in plan[v][t].items():
                         expected_total += 1
                         assert received[u][t][v] == msg
             assert sim.stats.messages == expected_total
-            assert rec.total_messages == expected_total
+            delivered = CausalTrace(tracer.records).delivered()
+            assert len(delivered) == expected_total
+
+    @pytest.mark.parametrize(
+        "plan",
+        [None, FaultPlan(seed=3, drop_rate=0.2, delay_rate=0.3,
+                         duplicate_rate=0.3, max_delay=3)],
+        ids=["clean", "lossy"],
+    )
+    @pytest.mark.parametrize("latency", ["sync", "uniform:0-3"])
+    def test_delivered_view_is_what_programs_received(self, latency, plan):
+        """``CausalTrace.delivered()`` lists, round by round, exactly the
+        copies deposited in inboxes: replaying a round's entries in
+        order into ``{sender: message}`` (an inbox keeps the last copy
+        from each sender) rebuilds every inbox a program received."""
+        sending, rounds = 5, 12
+        for seed in range(4):
+            g, script = _random_script(seed, sending)
+            received = {v: [] for v in script}
+            tracer = CausalTracer()
+            transport = (
+                None
+                if latency == "sync"
+                else AsyncEventTransport(
+                    parse_latency(latency), link_seed=seed
+                )
+            )
+            Simulator(
+                g,
+                {
+                    v: _logging_program(script[v], rounds, received[v])
+                    for v in script
+                },
+                telemetry=Telemetry.tracing(tracer=tracer),
+                faults=plan, transport=transport,
+            ).run()
+            trace = CausalTrace(tracer.records)
+            delivered = trace.delivered()
+            assert all(e["round"] <= rounds for e in delivered)
+            if plan is None and transport is None:
+                sent = [
+                    (t, repr(v), repr(u), m.kind)
+                    for t in range(1, sending + 1)
+                    for v in sorted(script)
+                    for u, m in sorted(script[v][t - 1].items())
+                ]
+                assert sorted(
+                    (e["round"], e["from"], e["to"], e["kind"])
+                    for e in delivered
+                ) == sorted(sent)
+            for t in range(1, rounds + 1):
+                rebuilt = {repr(v): {} for v in script}
+                for e in delivered:
+                    if e["round"] == t:
+                        sent_round = trace.message(e["id"])["round"]
+                        rebuilt[e["to"]][e["from"]] = (e["kind"], sent_round)
+                seen = {
+                    repr(v): {
+                        repr(u): (m.kind, m.payload[0])
+                        for u, m in received[v][t - 1].items()
+                    }
+                    for v in script
+                }
+                assert seen == rebuilt, f"seed {seed}, round {t}"
 
 
 class TestBitCap:

@@ -6,10 +6,9 @@ import json
 
 import pytest
 
-from repro.analysis.trace import TraceObserver
+from repro.analysis.trace import proposal_round_records
 from repro.congest.message import Message
 from repro.congest.protocols import run_congest_asm
-from repro.congest.recorder import MessageRecorder
 from repro.congest.simulator import Simulator
 from repro.core.asm import asm
 from repro.core.almost_regular import almost_regular_asm
@@ -28,6 +27,8 @@ from repro.obs import (
     histogram_summary,
     percentile,
 )
+from repro.trace import CausalTrace, CausalTracer
+from repro.trace.analysis import count_by
 from repro.workloads.generators import complete_uniform, gnp_incomplete
 
 
@@ -110,11 +111,6 @@ class TestEventLog:
         log = EventLog()
         with pytest.raises(InvalidParameterError):
             log.emit("not_a_kind")
-
-    def test_extra_kinds_extend_schema(self):
-        log = EventLog(extra_kinds=["custom"])
-        log.emit("custom", x=1)
-        assert log.events[0].fields == {"x": 1}
 
     def test_timestamps_monotone_and_seq_dense(self):
         log = EventLog()
@@ -300,7 +296,7 @@ class TestMetricsObserver:
 
 
 class TestSimulatorTelemetry:
-    def _run_ping(self, telemetry=None, recorder=None):
+    def _run_ping(self, telemetry=None):
         g = Graph()
         g.add_edge("a", "b")
 
@@ -313,8 +309,7 @@ class TestSimulatorTelemetry:
                 yield {}
 
         sim = Simulator(
-            g, {"a": pinger(), "b": listener()},
-            recorder=recorder, telemetry=telemetry,
+            g, {"a": pinger(), "b": listener()}, telemetry=telemetry,
         )
         sim.run()
         return sim
@@ -336,15 +331,16 @@ class TestSimulatorTelemetry:
         assert hist["count"] == sim.stats.rounds
 
     def test_message_batches_match_recorder(self):
-        tel = Telemetry.create()
-        rec = MessageRecorder()
-        self._run_ping(telemetry=tel, recorder=rec)
+        tracer = CausalTracer()
+        tel = Telemetry.create(tracer=tracer)
+        self._run_ping(telemetry=tel)
         batches = tel.events.by_kind("message_batch")
         total_by_kind = {}
         for e in batches:
             for kind, count in e.fields["kinds"].items():
                 total_by_kind[kind] = total_by_kind.get(kind, 0) + count
-        assert total_by_kind == dict(rec.counts_by_kind)
+        delivered = CausalTrace(tracer.records).delivered()
+        assert total_by_kind == count_by(delivered, "kind") == {"PING": 3}
 
     def test_no_telemetry_default(self):
         sim = self._run_ping()
@@ -362,37 +358,6 @@ class TestSimulatorTelemetry:
         assert tel.metrics.counters["congest.messages"] == (
             result.stats.messages
         )
-
-
-class TestRecorderEventBridge:
-    def test_emit_events_exact_despite_cap_and_filter(self):
-        g = Graph()
-        g.add_edge("a", "b")
-
-        def pinger():
-            for _ in range(4):
-                yield {"b": Message("PING")}
-
-        def ponger():
-            outbox = {}
-            for _ in range(5):
-                inbox = yield outbox
-                outbox = (
-                    {"a": Message("PONG")}
-                    if any(m.kind == "PING" for m in inbox.values())
-                    else {}
-                )
-
-        rec = MessageRecorder(max_events=1, kinds=["PONG"])
-        sim = Simulator(g, {"a": pinger(), "b": ponger()}, recorder=rec)
-        sim.run()
-        log = EventLog()
-        emitted = rec.emit_events(log)
-        assert emitted == len(log.by_kind("message_batch"))
-        total = 0
-        for e in log.by_kind("message_batch"):
-            total += sum(e.fields["kinds"].values())
-        assert total == rec.total_messages == sim.stats.messages
 
 
 class TestIORoundTrip:
@@ -418,28 +383,30 @@ class TestIORoundTrip:
 
     def test_events_round_trip_cross_checks_trace(self, tmp_path):
         tel = Telemetry.create(RunManifest.capture(algorithm="asm", n=16))
-        trace = TraceObserver(tel)
-        result = asm(complete_uniform(16, seed=6), eps=0.4, observer=trace)
+        observer = MetricsObserver(tel)
+        result = asm(
+            complete_uniform(16, seed=6), eps=0.4, observer=observer
+        )
         path = tmp_path / "events.jsonl"
         save_events(tel.events, path, tel.manifest)
         manifest, records = load_events(path)
         assert manifest["algorithm"] == "asm"
         loaded_rounds = [r for r in records if r["kind"] == "proposal_round"]
-        assert len(loaded_rounds) == len(trace.proposal_rounds)
+        assert len(loaded_rounds) == len(proposal_round_records(tel.events))
         assert sum(r["proposals"] for r in loaded_rounds) == (
             result.messages.proposes
         )
         assert loaded_rounds[-1]["matching_size"] == len(result.matching)
 
     def test_events_round_trip_cross_checks_recorder(self, tmp_path):
+        tracer = CausalTracer()
         tel = Telemetry.create(
-            RunManifest.capture(algorithm="congest-asm", n=4)
+            RunManifest.capture(algorithm="congest-asm", n=4), tracer=tracer
         )
-        rec = MessageRecorder()
         result = run_congest_asm(
             complete_uniform(4, seed=1), eps=0.5,
             inner_iterations=2, outer_iterations=2, mm_iterations=4,
-            recorder=rec, telemetry=tel,
+            telemetry=tel,
         )
         path = tmp_path / "events.jsonl"
         save_events(tel.events, path, tel.manifest)
@@ -450,7 +417,8 @@ class TestIORoundTrip:
             if r["kind"] == "message_batch"
             for count in r["kinds"].values()
         )
-        assert batch_total == rec.total_messages == result.stats.messages
+        delivered = CausalTrace(tracer.records).delivered()
+        assert batch_total == len(delivered) == result.stats.messages
         round_total = sum(
             r["messages"] for r in records if r["kind"] == "congest_round"
         )

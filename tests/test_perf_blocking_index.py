@@ -162,7 +162,7 @@ class TestTrajectoryHelpers:
 
     def test_trace_observer_counts_match_full_scan(self):
         from repro.core.asm import ASMObserver
-        from repro.perf import InstabilityTraceObserver
+        from repro.trace.slo import SLOMonitor, StabilitySLO
 
         prefs = complete_uniform(10, seed=5)
 
@@ -178,9 +178,10 @@ class TestTrajectoryHelpers:
                 )
                 self.counts.append(count_blocking_pairs(prefs, matching))
 
-        incremental = InstabilityTraceObserver(prefs)
-        asm(prefs, 0.5, observer=incremental)
+        monitor = SLOMonitor(prefs, StabilitySLO(0.5))
+        asm(prefs, 0.5, observer=monitor)
         oracle = FullScan()
         asm(prefs, 0.5, observer=oracle)
-        assert incremental.counts == oracle.counts
-        assert len(incremental.counts) > 0
+        counts = [blocking for _, _, blocking in monitor.trajectory]
+        assert counts == oracle.counts
+        assert len(counts) > 0

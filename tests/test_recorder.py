@@ -1,16 +1,31 @@
-"""Tests for the CONGEST message recorder."""
+"""Tests for the delivered-message view of a causal trace.
+
+The :class:`~repro.trace.span.CausalTracer` is the one recorder of
+CONGEST message traffic; :meth:`~repro.trace.analysis.CausalTrace.
+delivered` and the summaries over it replace a separate message log.
+"""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.congest.message import Message
-from repro.congest.recorder import MessageEvent, MessageRecorder
 from repro.congest.simulator import Simulator
 from repro.graphs import Graph
+from repro.obs import Telemetry
+from repro.trace import CausalTrace, CausalTracer
+from repro.trace.analysis import busiest_round, count_by, sequence_table
 
 
-def ping_pong_setup(recorder):
+def traced_run(graph, programs):
+    """Run ``programs`` traced; returns the simulator and the trace."""
+    tracer = CausalTracer()
+    sim = Simulator(
+        graph, programs, telemetry=Telemetry.tracing(tracer=tracer)
+    )
+    sim.run()
+    return sim, CausalTrace(tracer.records)
+
+
+def ping_pong_setup():
     """Two nodes: a pings for 3 rounds, b pongs back."""
     g = Graph()
     g.add_edge("a", "b")
@@ -31,75 +46,51 @@ def ping_pong_setup(recorder):
             )
         return None
 
-    sim = Simulator(
-        g, {"a": pinger(), "b": ponger_responsive()}, recorder=recorder
-    )
-    sim.run()
-    return sim
+    return traced_run(g, {"a": pinger(), "b": ponger_responsive()})
 
 
 class TestRecorder:
     def test_records_all_messages(self):
-        rec = MessageRecorder()
-        sim = ping_pong_setup(rec)
-        assert rec.total_messages == sim.stats.messages
-        assert rec.counts_by_kind["PING"] == 3
-        assert rec.counts_by_kind["PONG"] == 3
-        assert len(rec.events) == 6
+        sim, trace = ping_pong_setup()
+        delivered = trace.delivered()
+        assert len(delivered) == sim.stats.messages == 6
+        assert count_by(delivered, "kind") == {"PING": 3, "PONG": 3}
 
     def test_event_fields(self):
-        rec = MessageRecorder()
-        ping_pong_setup(rec)
-        first = rec.events[0]
-        assert isinstance(first, MessageEvent)
-        assert first.kind == "PING"
-        assert first.sender == "a" and first.recipient == "b"
-        assert first.round == 1
-
-    def test_kind_filter_keeps_aggregates(self):
-        rec = MessageRecorder(kinds=["PONG"])
-        ping_pong_setup(rec)
-        assert all(e.kind == "PONG" for e in rec.events)
-        assert rec.counts_by_kind["PING"] == 3  # aggregate still counted
-
-    def test_bounded_buffer_drops_oldest(self):
-        rec = MessageRecorder(max_events=2)
-        ping_pong_setup(rec)
-        assert len(rec.events) == 2
-        assert rec.dropped_events == 4
-        assert rec.total_messages == 6
+        _, trace = ping_pong_setup()
+        first = trace.delivered()[0]
+        assert first["kind"] == "PING"
+        assert first["from"] == repr("a") and first["to"] == repr("b")
+        assert first["round"] == 1
+        assert trace.message(first["id"])["fate"] == "delivered"
 
     def test_events_for_node(self):
-        rec = MessageRecorder()
-        ping_pong_setup(rec)
-        assert len(rec.events_for("a", role="sender")) == 3
-        assert len(rec.events_for("a", role="recipient")) == 3
-        assert len(rec.events_for("a")) == 6
-        with pytest.raises(ValueError):
-            rec.events_for("a", role="nonsense")
+        _, trace = ping_pong_setup()
+        delivered = trace.delivered()
+        a = repr("a")
+        assert len([e for e in delivered if e["from"] == a]) == 3
+        assert len([e for e in delivered if e["to"] == a]) == 3
+        assert len(trace.messages_between(a, repr("b"))) == 6
 
     def test_busiest_round(self):
-        rec = MessageRecorder()
-        ping_pong_setup(rec)
-        assert rec.busiest_round() in rec.counts_by_round
-        assert MessageRecorder().busiest_round() is None
+        _, trace = ping_pong_setup()
+        delivered = trace.delivered()
+        assert busiest_round(delivered) in count_by(delivered, "round")
+        assert busiest_round([]) is None
 
     def test_tables(self):
-        rec = MessageRecorder()
-        ping_pong_setup(rec)
-        seq = rec.sequence_table(limit=3)
+        _, trace = ping_pong_setup()
+        seq = sequence_table(trace.delivered(), limit=3)
         assert "message sequence" in seq
-        assert "more recorded events" in seq
-        rows = rec.summary_rows()
-        assert {"kind": "PING", "messages": 3} in rows
+        assert "... 3 more deliveries" in seq
 
     def test_attached_to_congest_asm(self):
-        """A recorder on a full ASM protocol run sees the algorithm's
+        """A traced full ASM protocol run delivers the algorithm's
         message kinds with consistent totals."""
         from repro.congest.protocols.asm_protocol import run_congest_asm
         from repro.workloads.generators import complete_uniform
 
-        rec = MessageRecorder()
+        tracer = CausalTracer()
         prefs = complete_uniform(5, seed=1)
         result = run_congest_asm(
             prefs,
@@ -108,44 +99,33 @@ class TestRecorder:
             inner_iterations=3,
             outer_iterations=2,
             mm_iterations=10,
-            recorder=rec,
+            telemetry=Telemetry.tracing(tracer=tracer),
         )
-        assert rec.total_messages == result.stats.messages
-        assert rec.counts_by_kind["PROPOSE"] > 0
-        assert rec.counts_by_kind["ACCEPT"] > 0
-        assert "MM_POINT" in rec.counts_by_kind
-
-    def test_kind_filter_and_cap_interaction(self):
-        """Filtered-out kinds count in aggregates but never evict
-        recorded events: with ``kinds=["PONG"]`` and room for 2 events,
-        all 3 PONGs compete for the buffer while the 3 PINGs are only
-        tallied."""
-        rec = MessageRecorder(max_events=2, kinds=["PONG"])
-        sim = ping_pong_setup(rec)
-        assert [e.kind for e in rec.events] == ["PONG", "PONG"]
-        # The two newest PONGs survive; only the oldest PONG dropped.
-        assert rec.dropped_events == 1
-        # Aggregates still see everything, filtered kinds included.
-        assert rec.counts_by_kind["PING"] == 3
-        assert rec.total_messages == sim.stats.messages == 6
+        delivered = CausalTrace(tracer.records).delivered()
+        by_kind = count_by(delivered, "kind")
+        assert len(delivered) == result.stats.messages
+        assert by_kind["PROPOSE"] > 0
+        assert by_kind["ACCEPT"] > 0
+        assert "MM_POINT" in by_kind
 
     def test_busiest_round_prefers_earliest_on_tie(self):
-        rec = MessageRecorder()
-        ping_pong_setup(rec)
+        _, trace = ping_pong_setup()
+        delivered = trace.delivered()
+        per_round = count_by(delivered, "round")
         # Rounds 2 and 3 both carry PING+PONG (2 messages each);
         # ties break toward the earliest round.
-        assert rec.counts_by_round[2] == rec.counts_by_round[3] == 2
-        assert rec.busiest_round() == 2
+        assert per_round[2] == per_round[3] == 2
+        assert busiest_round(delivered) == 2
 
     def test_counts_by_round_kind(self):
-        rec = MessageRecorder(kinds=["PONG"])
-        ping_pong_setup(rec)
-        # Per-(round, kind) tallies ignore the recording filter too.
-        assert rec.counts_by_round_kind[(1, "PING")] == 1
-        assert rec.counts_by_round_kind[(2, "PONG")] == 1
+        _, trace = ping_pong_setup()
+        delivered = trace.delivered()
+        pings = [e for e in delivered if e["kind"] == "PING"]
+        pongs = [e for e in delivered if e["kind"] == "PONG"]
+        assert count_by(pings, "round") == {1: 1, 2: 1, 3: 1}
+        assert count_by(pongs, "round") == {2: 1, 3: 1, 4: 1}
 
     def test_minimal_protocol_plumbing(self):
-        rec = MessageRecorder()
         g = Graph()
         g.add_edge("x", "y")
 
@@ -155,5 +135,5 @@ class TestRecorder:
         def listen():
             yield {}
 
-        Simulator(g, {"x": talk(), "y": listen()}, recorder=rec).run()
-        assert rec.counts_by_kind["PROPOSE"] == 1
+        _, trace = traced_run(g, {"x": talk(), "y": listen()})
+        assert count_by(trace.delivered(), "kind") == {"PROPOSE": 1}

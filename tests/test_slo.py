@@ -47,9 +47,9 @@ class TestSLOMonitor:
     def test_trajectory_is_recorded(self):
         _, _, monitor = _run()
         assert monitor.trajectory
-        rounds = [r for r, _ in monitor.trajectory]
+        rounds = [r for r, _, _ in monitor.trajectory]
         assert rounds == sorted(rounds)
-        assert all(0.0 <= eps <= 1.0 for _, eps in monitor.trajectory)
+        assert all(0.0 <= eps <= 1.0 for _, eps, _ in monitor.trajectory)
 
     def test_final_matching_meets_target(self):
         # Complete uniform instances converge to eps-stability, so the
@@ -102,24 +102,6 @@ class TestSLOMonitor:
         assert monitor.final_eps is None
         assert monitor.satisfied
 
-    def test_inner_observer_delegation(self):
-        calls = []
-
-        class Probe:
-            def on_proposal_round_end(self, engine, stats):
-                calls.append("proposal")
-
-            def on_quantile_match_end(self, engine):
-                calls.append("qm")
-
-            def on_outer_iteration_end(self, engine, stats):
-                calls.append("outer")
-
-        _run(inner=Probe())
-        assert "proposal" in calls
-        assert "qm" in calls
-        assert "outer" in calls
-
     def test_report_is_json_safe(self):
         _, _, monitor = _run()
         report = monitor.report()
@@ -127,6 +109,12 @@ class TestSLOMonitor:
         assert report["satisfied"] is True
         assert report["rounds_observed"] == len(report["trajectory"])
         assert report["worst_eps"] >= report["final_eps"]
+        for entry, (r, eps, blocking) in zip(
+            report["trajectory"], monitor.trajectory
+        ):
+            assert entry == {
+                "round": r, "eps": eps, "blocking_pairs": blocking
+            }
 
     def test_deterministic(self):
         _, _, a = _run()

@@ -9,11 +9,14 @@ import pytest
 
 from repro.analysis.stability import find_blocking_pairs
 from repro.congest.protocols import run_congest_asm
+from repro.faults import FaultPlan, NodeCrash
 from repro.faults.harness import fault_plan_for_profile
+from repro.graphs import man_node, woman_node
 from repro.obs.telemetry import Telemetry
 from repro.trace.analysis import CausalTrace, explain_blocking_pairs
-from repro.trace.span import CausalTracer
+from repro.trace.span import DROP_ACTIONS, CausalTracer
 from repro.workloads.generators import complete_uniform
+from tests import test_congest_idle as grid
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,30 @@ class TestChains:
         assert trace.chain("0000000000000000") == []
 
 
+def _heavy(*crashes):
+    return FaultPlan(
+        seed=9, drop_rate=0.05, delay_rate=0.3, duplicate_rate=0.3,
+        max_delay=4, crashes=crashes,
+    )
+
+
+# Plans under which one message takes several injector actions: the
+# heavy ones add delay+duplicate pairs, and their crash-restart windows
+# drop some deferred copies late (a duplicate's with the first, a
+# delayed message's with the second).
+_MULTI_FAULT_PLANS = {
+    "lossy": grid._PLANS["lossy"],
+    "heavy-late-duplicate": _heavy(
+        NodeCrash(woman_node(0), 2, restart_round=8),
+        NodeCrash(man_node(1), 3, restart_round=12),
+    ),
+    "heavy-late-delay": _heavy(
+        NodeCrash(woman_node(0), 3, restart_round=9),
+        NodeCrash(man_node(1), 4, restart_round=13),
+    ),
+}
+
+
 class TestFaultImpact:
     def test_impact_report(self, faulty_run):
         _, result, trace = faulty_run
@@ -90,6 +117,40 @@ class TestFaultImpact:
             assert entry["chain_depth"] >= 1
             assert entry["descendants"] >= 0
             assert entry["fault"] in ("drop", "drop_late")
+
+    @pytest.mark.parametrize("plan", sorted(_MULTI_FAULT_PLANS))
+    @pytest.mark.parametrize("transport", sorted(grid._TRANSPORTS))
+    @pytest.mark.parametrize("proto", sorted(grid._PROTOCOLS))
+    def test_by_action_matches_injector_counters(self, proto, transport, plan):
+        """Every injector action lands on its message record, also when
+        one message is delayed and duplicated, or deferred and then
+        dropped late."""
+        tracer = CausalTracer()
+        link = grid._TRANSPORTS[transport]()
+        result = grid._PROTOCOLS[proto](
+            telemetry=Telemetry.tracing(tracer=tracer),
+            faults=_MULTI_FAULT_PLANS[plan], transport=link,
+        )
+        trace = CausalTrace(tracer.to_records())
+        by_action = trace.fault_impact()["by_action"]
+        stats = result.fault_stats
+        assert by_action.get("delay", 0) == stats.messages_delayed
+        assert by_action.get("duplicate", 0) == stats.messages_duplicated
+        # The transport's own late drops (mail in flight to a node that
+        # went down) are traced as drop_late too.
+        lost_in_flight = getattr(link, "dropped_late", 0)
+        assert sum(
+            count for action, count in by_action.items()
+            if action in DROP_ACTIONS
+        ) == stats.messages_dropped + lost_in_flight
+        if transport == "sync":
+            # A late drop loses the message only if no copy landed at
+            # send time.
+            fates = {"delay": "dropped", "duplicate": "delivered"}
+            for record in trace.messages():
+                if record.get("faults", [])[-1:] == ["drop_late"]:
+                    first = record["faults"][0]
+                    assert record["fate"] == fates[first], record
 
     def test_messages_between_accepts_tuples_and_reprs(self, faulty_run):
         _, _, trace = faulty_run

@@ -32,7 +32,6 @@ from repro.core.quantile import quantile_boundaries
 from repro.core.rand_asm import rand_asm
 from repro.errors import InvalidParameterError, VecUnavailableError
 from repro.mm.oracles import israeli_itai_oracle
-from repro.perf.blocking_index import InstabilityTraceObserver
 from repro.trace.slo import SLOMonitor, StabilitySLO
 from repro.vec import HAS_NUMPY
 from repro.workloads.generators import (
@@ -396,13 +395,29 @@ class TestPartnerObserversOnBothEngines:
     (``-1`` = unmatched in its arrays) as on the reference engine."""
 
     def test_instability_trace_identical(self):
+        """SLOMonitor's per-round blocking counts equal the full-scan
+        oracle on both engines."""
         prefs = complete_uniform(12, seed=0)
-        counts = []
+
+        class FullScan(ASMObserver):
+            def __init__(self):
+                self.counts = []
+
+            def on_proposal_round_end(self, engine, stats):
+                matching = Matching(
+                    (m, w)
+                    for m, w in enumerate(engine.man_partners())
+                    if w is not None
+                )
+                self.counts.append(count_blocking_pairs(prefs, matching))
+
         for optimized in (False, "vec"):
-            observer = InstabilityTraceObserver(prefs)
-            asm(prefs, 0.5, observer=observer, optimized=optimized)
-            counts.append(observer.counts)
-        assert counts[0] and counts[0] == counts[1]
+            monitor = SLOMonitor(prefs, StabilitySLO(target_eps=0.05))
+            asm(prefs, 0.5, observer=monitor, optimized=optimized)
+            oracle = FullScan()
+            asm(prefs, 0.5, observer=oracle, optimized=optimized)
+            counts = [blocking for _, _, blocking in monitor.trajectory]
+            assert counts and counts == oracle.counts, optimized
 
     def test_slo_trajectory_identical(self):
         prefs = complete_uniform(12, seed=0)
