@@ -12,6 +12,7 @@ algorithms is ``M = {(p(w), w) | w ∈ X, p(w) ≠ ∅}``.
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.core.preferences import PreferenceProfile
@@ -32,7 +33,9 @@ class Matching:
     Raises
     ------
     InvalidMatchingError
-        If a player appears in more than one pair.
+        If a player appears in more than one pair, or a player id is not
+        an integer (Python and numpy integers are accepted; strings and
+        floats are not).
 
     Examples
     --------
@@ -51,7 +54,13 @@ class Matching:
         man_to_woman: Dict[int, int] = {}
         woman_to_man: Dict[int, int] = {}
         for m, w in pairs:
-            m, w = int(m), int(w)
+            try:
+                m, w = index(m), index(w)
+            except TypeError:
+                side, bad = ("woman", w) if hasattr(m, "__index__") else ("man", m)
+                raise InvalidMatchingError(
+                    f"{side} {bad!r} in pair ({m!r}, {w!r}) is not an integer id"
+                ) from None
             if m in man_to_woman:
                 raise InvalidMatchingError(f"man {m} is matched more than once")
             if w in woman_to_man:
@@ -118,12 +127,16 @@ class Matching:
             If a pair involves an out-of-range player or is not mutually
             acceptable under ``prefs``.
         """
+        n_men, n_women = prefs.n_men, prefs.n_women
+        # A list scan, not acceptable_to_man: that would build the rank
+        # tables, which the batch solve never needs.
+        man_list = prefs.man_list
         for m, w in self._man_to_woman.items():
-            if not 0 <= m < prefs.n_men or not 0 <= w < prefs.n_women:
+            if not 0 <= m < n_men or not 0 <= w < n_women:
                 raise InvalidMatchingError(
                     f"pair ({m}, {w}) is out of range for {prefs!r}"
                 )
-            if not prefs.acceptable_to_man(m, w):
+            if w not in man_list(m):
                 raise InvalidMatchingError(
                     f"pair ({m}, {w}) is not an edge: "
                     f"woman {w} is unacceptable to man {m}"

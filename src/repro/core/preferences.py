@@ -19,21 +19,83 @@ means ``u`` is ``v``'s most favored partner.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import eq, index
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidPreferencesError
 
 __all__ = ["PreferenceProfile"]
 
-
-def _freeze(lists: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Return ``lists`` as a tuple of tuples of ints."""
-    return tuple(tuple(int(u) for u in lst) for lst in lists)
+Lists = Tuple[Tuple[int, ...], ...]
 
 
-def _validate_side(
-    lists: Tuple[Tuple[int, ...], ...], opposite_count: int, side_name: str
-) -> None:
+def _freeze(lists: Iterable[Sequence[int]], side_name: str) -> Lists:
+    """Return ``lists`` as a tuple of tuples of ints.
+
+    Ids go through :func:`operator.index`, so Python and numpy integers
+    are accepted and strings or floats are rejected, not truncated.
+    """
+    frozen = []
+    for v, lst in enumerate(lists):
+        ids = map(index, lst)
+        try:
+            frozen.append(tuple(ids))
+        except TypeError as exc:
+            raise InvalidPreferencesError(
+                f"{side_name} {v} ranks a player that is not an integer id: {exc}"
+            ) from None
+    return tuple(frozen)
+
+
+def _in_range(lists: Lists, opposite_count: int) -> bool:
+    """Whether every id on one side lies in ``0 .. opposite_count - 1``."""
+    lowest = min(chain.from_iterable(lists), default=None)
+    return lowest is None or (
+        lowest >= 0 and max(chain.from_iterable(lists)) < opposite_count
+    )
+
+
+def _duplicate_free(lists: Lists) -> bool:
+    """Whether no list on one side names a player twice."""
+    return sum(map(len, map(set, lists))) == sum(map(len, lists))
+
+
+def _transpose(men: Lists, n_women: int) -> List[List[int]]:
+    """``incoming[w]``: the men whose lists name ``w``, ascending.
+
+    ``men`` must be in range (see :func:`_in_range`).
+    """
+    incoming: List[List[int]] = [[] for _ in range(n_women)]
+    for m, lst in enumerate(men):
+        for w in lst:
+            incoming[w].append(m)
+    return incoming
+
+
+def _validate(men: Lists, women: Lists) -> None:
+    """Check that the lists form a valid symmetric profile.
+
+    One pass decides validity: the men's ids are in range and no man
+    names a woman twice, so the transposed lists hold each man at most
+    once, ascending; then every woman's list, sorted, must equal the men
+    that name her, which also puts her ids in range without duplicates.
+    Only when the pass fails do the per-player loops below run, to raise
+    the first error in a fixed order: man side, woman side, symmetry.
+    """
+    if (
+        _in_range(men, len(women))
+        and _duplicate_free(men)
+        and all(map(eq, map(sorted, women), _transpose(men, len(women))))
+    ):
+        return
+    _validate_side(men, len(women), "man")
+    _validate_side(women, len(men), "woman")
+    _check_symmetry(men, women)
+    raise AssertionError("profile failed validation without a diagnosis")
+
+
+def _validate_side(lists: Lists, opposite_count: int, side_name: str) -> None:
     """Check that every list on one side is a duplicate-free list of valid ids."""
     for v, lst in enumerate(lists):
         seen = set()
@@ -48,6 +110,31 @@ def _validate_side(
                     f"{side_name} {v} ranks player {u} more than once"
                 )
             seen.add(u)
+
+
+def _check_symmetry(men: Lists, women: Lists) -> None:
+    """Verify that ``w in P_m`` if and only if ``m in P_w``."""
+    men_sets = [set(lst) for lst in men]
+    women_sets = [set(lst) for lst in women]
+    for m, lst in enumerate(men):
+        for w in lst:
+            if m not in women_sets[w]:
+                raise InvalidPreferencesError(
+                    f"asymmetric preferences: man {m} ranks woman {w} "
+                    f"but woman {w} does not rank man {m}"
+                )
+    for w, lst in enumerate(women):
+        for m in lst:
+            if w not in men_sets[m]:
+                raise InvalidPreferencesError(
+                    f"asymmetric preferences: woman {w} ranks man {m} "
+                    f"but man {m} does not rank woman {w}"
+                )
+
+
+def _rank_tables(lists: Lists) -> Tuple[Dict[int, int], ...]:
+    """1-based rank lookup tables: ``_rank_tables(lists)[v][u]`` is ``P_v(u)``."""
+    return tuple(dict(zip(lst, range(1, len(lst) + 1))) for lst in lists)
 
 
 class PreferenceProfile:
@@ -65,8 +152,9 @@ class PreferenceProfile:
     Raises
     ------
     InvalidPreferencesError
-        If any list contains duplicates or out-of-range indices, or if
-        the lists are not symmetric.
+        If any list contains duplicates, out-of-range indices or ids that
+        are not integers (strings, floats), or if the lists are not
+        symmetric.
 
     Examples
     --------
@@ -95,20 +183,14 @@ class PreferenceProfile:
         men_prefs: Iterable[Sequence[int]],
         women_prefs: Iterable[Sequence[int]],
     ) -> None:
-        self._men_prefs = _freeze(men_prefs)
-        self._women_prefs = _freeze(women_prefs)
-        _validate_side(self._men_prefs, len(self._women_prefs), "man")
-        _validate_side(self._women_prefs, len(self._men_prefs), "woman")
-
-        # 1-based rank lookup tables: _men_rank[m][w] == P_m(w).
-        self._men_rank: Tuple[Dict[int, int], ...] = tuple(
-            {w: r + 1 for r, w in enumerate(lst)} for lst in self._men_prefs
-        )
-        self._women_rank: Tuple[Dict[int, int], ...] = tuple(
-            {m: r + 1 for r, m in enumerate(lst)} for lst in self._women_prefs
-        )
-        self._check_symmetry()
-        self._num_edges = sum(len(lst) for lst in self._men_prefs)
+        self._men_prefs = _freeze(men_prefs, "man")
+        self._women_prefs = _freeze(women_prefs, "woman")
+        _validate(self._men_prefs, self._women_prefs)
+        # Rank tables (_men_rank[m][w] == P_m(w)), built on first use:
+        # the vec path reads positions from the lists and never needs them.
+        self._men_rank: Optional[Tuple[Dict[int, int], ...]] = None
+        self._women_rank: Optional[Tuple[Dict[int, int], ...]] = None
+        self._num_edges = sum(map(len, self._men_prefs))
         self._edges_cache: Optional[FrozenSet[Tuple[int, int]]] = None
         # Struct-of-arrays compilations keyed by quantile count k (see
         # repro.vec.compile).  Kept here so repeated vec runs over the
@@ -116,23 +198,6 @@ class PreferenceProfile:
         # module never imports numpy — the dict holds whatever the vec
         # compiler stores (always read-only views, see soa_cache()).
         self._soa_cache: Dict[int, object] = {}
-
-    def _check_symmetry(self) -> None:
-        """Verify that ``w in P_m`` if and only if ``m in P_w``."""
-        for m, lst in enumerate(self._men_prefs):
-            for w in lst:
-                if m not in self._women_rank[w]:
-                    raise InvalidPreferencesError(
-                        f"asymmetric preferences: man {m} ranks woman {w} "
-                        f"but woman {w} does not rank man {m}"
-                    )
-        for w, lst in enumerate(self._women_prefs):
-            for m in lst:
-                if w not in self._men_rank[m]:
-                    raise InvalidPreferencesError(
-                        f"asymmetric preferences: woman {w} ranks man {m} "
-                        f"but man {m} does not rank woman {w}"
-                    )
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -214,14 +279,14 @@ class PreferenceProfile:
 
         Raises ``KeyError`` if ``w`` is not acceptable to ``m``.
         """
-        return self._men_rank[m][w]
+        return self.men_rank_tables()[m][w]
 
     def rank_of_man(self, w: int, m: int) -> int:
         """``P_w(m)`` — woman ``w``'s 1-based rank of man ``m``.
 
         Raises ``KeyError`` if ``m`` is not acceptable to ``w``.
         """
-        return self._women_rank[w][m]
+        return self.women_rank_tables()[w][m]
 
     def men_rank_tables(self) -> Tuple[Dict[int, int], ...]:
         """Per-man rank tables: ``men_rank_tables()[m][w] == P_m(w)``.
@@ -230,7 +295,13 @@ class PreferenceProfile:
         loops that cannot afford a method call per probe — the
         incremental blocking-pair index and the engine's fast paths.
         Callers must not mutate the returned dicts.
+
+        The tables are built on the first call (O(|E|)) and cached;
+        :meth:`rank_of_woman`, :meth:`acceptable_to_man` and
+        :meth:`man_prefers` go through here too.
         """
+        if self._men_rank is None:
+            self._men_rank = _rank_tables(self._men_prefs)
         return self._men_rank
 
     def women_rank_tables(self) -> Tuple[Dict[int, int], ...]:
@@ -238,15 +309,17 @@ class PreferenceProfile:
 
         See :meth:`men_rank_tables`; callers must not mutate.
         """
+        if self._women_rank is None:
+            self._women_rank = _rank_tables(self._women_prefs)
         return self._women_rank
 
     def acceptable_to_man(self, m: int, w: int) -> bool:
         """Whether woman ``w`` appears on man ``m``'s list."""
-        return w in self._men_rank[m]
+        return w in self.men_rank_tables()[m]
 
     def acceptable_to_woman(self, w: int, m: int) -> bool:
         """Whether man ``m`` appears on woman ``w``'s list."""
-        return m in self._women_rank[w]
+        return m in self.women_rank_tables()[w]
 
     def man_prefers(self, m: int, w1: int, w2: int) -> bool:
         """Whether man ``m`` strictly prefers ``w1`` to ``w2``.
@@ -254,11 +327,13 @@ class PreferenceProfile:
         ``w2 is None`` (unmatched) is handled by the caller; both
         arguments here must be acceptable to ``m``.
         """
-        return self._men_rank[m][w1] < self._men_rank[m][w2]
+        rank = self.men_rank_tables()[m]
+        return rank[w1] < rank[w2]
 
     def woman_prefers(self, w: int, m1: int, m2: int) -> bool:
         """Whether woman ``w`` strictly prefers ``m1`` to ``m2``."""
-        return self._women_rank[w][m1] < self._women_rank[w][m2]
+        rank = self.women_rank_tables()[w]
+        return rank[m1] < rank[m2]
 
     # ------------------------------------------------------------------
     # Structural properties
@@ -318,16 +393,13 @@ class PreferenceProfile:
         their acceptable men by ascending man index.  Useful in tests and
         workloads where only the graph structure matters on one side.
         """
-        men = _freeze(men_prefs)
-        women: List[List[int]] = [[] for _ in range(n_women)]
-        for m, lst in enumerate(men):
-            for w in lst:
-                if not 0 <= w < n_women:
-                    raise InvalidPreferencesError(
-                        f"man {m} ranks out-of-range woman {w}"
-                    )
-                women[w].append(m)
-        return cls(men, women)
+        men = _freeze(men_prefs, "man")
+        if not _in_range(men, n_women):
+            m, w = next(
+                (m, w) for m, lst in enumerate(men) for w in lst if not 0 <= w < n_women
+            )
+            raise InvalidPreferencesError(f"man {m} ranks out-of-range woman {w}")
+        return cls(men, _transpose(men, n_women))
 
     def to_dict(self) -> Dict[str, List[List[int]]]:
         """A JSON-serializable representation of the profile."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.matching import Matching, MutableMatching
 from repro.core.preferences import PreferenceProfile
 from repro.errors import InvalidMatchingError
+from repro.vec import HAS_NUMPY
 
 
 class TestMatching:
@@ -69,6 +70,23 @@ class TestMatching:
         prefs = PreferenceProfile([[0]], [[0]])
         with pytest.raises(InvalidMatchingError, match="out of range"):
             Matching([(5, 0)]).validate_against(prefs)
+
+    @pytest.mark.parametrize(
+        "pair, who",
+        [(("0", 1), "man '0'"), ((0, 1.5), "woman 1.5"), ((2.0, "x"), "man 2.0")],
+    )
+    def test_non_integer_id_rejected(self, pair, who):
+        # Ids were coerced with int(): "0" became man 0, 1.5 woman 1.
+        with pytest.raises(InvalidMatchingError, match=rf"^{who} in pair"):
+            Matching([pair])
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed (repro[fast] extra)")
+    def test_numpy_integer_ids_accepted(self):
+        import numpy as np
+
+        m = Matching([(np.int64(0), np.int32(2))])
+        assert list(m.pairs()) == [(0, 2)]
+        assert all(type(v) is int for pair in m.pairs() for v in pair)
 
     def test_is_perfect(self):
         prefs = PreferenceProfile([[0], [0]], [[0, 1]])
